@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Expected number of events: closed form, inversion quadrature, and
+"""Expected number of events: closed form, numerical inversion, and
 Monte Carlo means side by side.
 
 ``E[N(t)]`` grows like ``lambda0*t/(1-alpha)`` for large t, with a
 sub-linear memory correction.  Three independent routes are compared on
-t = 1..10: the Mittag-Leffler closed form, the trapezoid integral of the
-numerically inverted intensity, and thinning-simulation means.
+t = 1..10: the Mittag-Leffler closed form, the numerical inversion of the
+expected-count image, and thinning-simulation means.
 
 Smaller replica counts than the validation suite: this is a walkthrough,
 not the gate.  Writes one curve table per gamma into ``out/``.

@@ -106,7 +106,7 @@ def lambda_cmd(config, lambda0, alpha, beta, gamma, t_max, grid, method, out):
 def expected_n_cmd(
     config, lambda0, alpha, beta, gamma, t_max, grid, method, replicas, seed, out
 ):
-    """Expected event count: closed form, inversion quadrature, Monte Carlo."""
+    """Expected event count: closed form, numerical inversion, Monte Carlo."""
     p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
     times = np.linspace(0.0, t_max, grid + 1)[1:]
     if method in ("mc", "all"):

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.stats import chisquare, poisson
 
 from .analytics import ModelParams, expected_n, lambda_image
 from .errors import DomainError
 from .io import write_curves_csv, write_dist_csv
-from .laplace import IltConfig, ilt_grid
+from .laplace import IltConfig, LaplaceImage, ilt_grid
 from .simulate import (
     simulate_cluster,
     simulate_exp_hawkes,
@@ -159,25 +158,23 @@ def count_matrix(
 
 
 def expected_n_ilt_curve(p: ModelParams, times, cfg: IltConfig | None = None):
-    """Expected count by trapezoid quadrature of the numerically inverted
-    expected-intensity curve (dense geometric+linear grid, exact value at 0)."""
+    """Expected count by numerical inversion of its Laplace image, the
+    expected-intensity image divided by ``s``, at each requested time
+    (exactly 0 at ``t = 0``)."""
     times = np.asarray(times, dtype=float)
-    t_max = float(times.max())
-    grid = np.unique(
-        np.concatenate(
-            [np.geomspace(1e-3, t_max, 240), np.linspace(1e-3, t_max, 260)]
-        )
+    lam_img = lambda_image(p)
+    image = LaplaceImage(
+        lambda s: lam_img(s) / s, lam_img.sigma0, "expected-count image"
     )
-    lam, _ = ilt_grid(lambda_image(p), grid, cfg)
-    grid = np.concatenate([[0.0], grid])
-    lam = np.concatenate([[p.lambda0], lam])
-    cum = cumulative_trapezoid(lam, grid, initial=0.0)
-    return np.interp(times, grid, cum)
+    out = np.zeros(times.shape)
+    later = times != 0.0
+    out[later], _ = ilt_grid(image, times[later], cfg)
+    return out
 
 
 def run_expected_n(cfg: ExperimentConfig) -> dict:
     """Monte Carlo mean of N(t) with standard errors, the closed-form curve,
-    and optionally the quadrature of the numerically inverted intensity.
+    and optionally the numerical inversion of the expected-count image.
 
     Returns a dict with ``times``, ``mc_mean``, ``mc_se``, ``exact`` and
     (if requested via comparisons) ``ilt`` arrays, and writes the curve

@@ -6,7 +6,11 @@ Mittag-Leffler random-variate sampling.
 Evaluation of ``E_{a,b}^c(z)`` on the real axis uses four regimes:
 
 * truncated power series with exact accumulation, accepted only when a
-  cancellation audit shows the floating-point result keeps ~12 digits;
+  cancellation audit shows the floating-point result keeps ~12 digits.  All
+  arguments of a call are summed together, chunk of terms by chunk; a
+  provable lower bound on the audit spares the exact sum of arguments it
+  already rejects, and each rejected argument falls back to the regimes
+  below on its own, without affecting the others;
 * positive-integrand spectral quadrature for the shapes the point process
   needs: ``(b=1, c=1)`` and ``(b=a, c=1)`` directly, and any ``b`` reachable
   from those through the two-parameter recurrence;
@@ -90,47 +94,125 @@ def erfcx(x):
 # Prabhakar function: evaluation regimes
 # ---------------------------------------------------------------------------
 
-def _series_sum(a, b, c, z, kmax=4096):
-    """Truncated power series sum(Gamma(c+k) z^k / (Gamma(c) k! Gamma(ak+b))).
+# Term ranges [k0, k1) of the series: 96 terms, then doubling chunks capped
+# at 1024, up to _SERIES_KMAX terms.
+_SERIES_CHUNKS = (
+    (0, 96), (96, 288), (288, 672), (672, 1440), (1440, 2464), (2464, 3488),
+    (3488, 4096),
+)
+_SERIES_KMAX = 4096
+_SERIES_K = np.arange(_SERIES_KMAX, dtype=float)
+_SERIES_LOG_FACT = gammaln(_SERIES_K + 1.0)
+# Sign pattern (-1)^k of the series at negative z; every chunk starts at an
+# even k.
+_SERIES_ALT = np.where(np.arange(1024) % 2 == 0, 1.0, -1.0)
+# Arguments summed together; bounds the term buffer at 64 x 4096 doubles.
+_SERIES_ROWS = 64
 
-    Returns ``(value, rel_err_estimate, converged)``.  The estimate charges
-    each term an evaluation error proportional to the magnitude of its log,
-    which is what dominates after exact (fsum) accumulation.
+
+@np.errstate(over="ignore", invalid="ignore")
+def _series_sum(a, b, c, z):
+    """Truncated power series sum(Gamma(c+k) z^k / (Gamma(c) k! Gamma(ak+b)))
+    for a 1-d array of nonzero ``z``.
+
+    Returns ``(values, accepted)``.  A row is accepted when its terms stay
+    finite, the series meets the stopping test within ``_SERIES_KMAX``
+    terms, and the round-off audit stays below ``_SERIES_RTOL``.  The audit
+    charges each term an evaluation error proportional to the magnitude of
+    its log, which is what dominates after exact (fsum) accumulation.
+
+    Rows go through the chunks together, ``_SERIES_ROWS`` at a time: the
+    row-independent coefficients of a chunk are computed once, and only
+    while some row still needs that chunk.  The stopping test needs the
+    exact partial sum only when the float sums of the terms and of their
+    magnitudes cannot decide it.  A converged row gets one exact sum and
+    the audit, unless ``6*eps*sum|t| / (|sum t| + K*eps*sum|t|)``, a lower
+    bound on its audit, already rejects it.  Each row's value, and whether
+    it is accepted, is the same as when it is summed alone.
     """
-    logabsz = math.log(abs(z))
     lgc = gammaln(c)
-    chunks = []
-    abs_terms = []
-    k0 = 0
-    converged = False
-    size = 96
-    while k0 < kmax:
-        ks = np.arange(k0, min(k0 + size, kmax), dtype=float)
-        lg = gammaln(c + ks) - gammaln(ks + 1.0) - gammaln(a * ks + b) - lgc
-        lg = lg + ks * logabsz
-        with np.errstate(over="ignore"):
-            mags = np.exp(lg)
-        if not np.all(np.isfinite(mags)):
-            return 0.0, np.inf, False
-        terms = mags if z >= 0 else mags * np.where(ks % 2 == 0, 1.0, -1.0)
-        chunks.append(terms)
-        abs_terms.append(np.abs(terms))
-        partial = abs(math.fsum(t for ch in chunks for t in ch))
-        scale = max(partial, float(np.max(abs_terms[-1])))
-        tail = abs_terms[-1][-3:]
-        if tail[-1] < 1e-17 * max(scale, 1e-300) and np.all(np.diff(tail) <= 0):
-            converged = True
-            break
-        k0 += size
-        size = min(2 * size, 1024)
-    all_terms = np.concatenate(chunks)
-    value = math.fsum(all_terms)
-    work = np.concatenate(abs_terms)
+    coefs = []
+    values = np.zeros_like(z)
+    accepted = np.zeros(z.shape, dtype=bool)
+    buf = np.empty((min(z.size, _SERIES_ROWS), _SERIES_KMAX))
+    for start in range(0, z.size, _SERIES_ROWS):
+        zb = z[start : start + _SERIES_ROWS]
+        # live rows sit at the top of buf; rows[i] is the index in z of row i
+        rows = list(range(start, start + zb.size))
+        # math.log, not np.log: they differ by an ulp on some inputs, and
+        # k*log|z| carries that into every term
+        logabsz = np.array([[math.log(abs(v))] for v in zb.tolist()])
+        neg = zb[:, None] < 0.0
+        # float sums of the terms and of their magnitudes so far
+        tot = tot_abs = 0.0
+        for j, (k0, k1) in enumerate(_SERIES_CHUNKS):
+            ks = _SERIES_K[k0:k1]
+            if j == len(coefs):
+                lg = gammaln(c + ks) - _SERIES_LOG_FACT[k0:k1]
+                coefs.append(lg - gammaln(a * ks + b) - lgc)
+            terms = buf[: len(rows), k0:k1]
+            np.multiply(ks, logabsz, out=terms)
+            terms += coefs[j]
+            np.exp(terms, out=terms)
+            peak = np.maximum.reduce(terms, axis=1).tolist()
+            tails = terms[:, -3:].tolist()
+            tot_abs = tot_abs + np.add.reduce(terms, axis=1)
+            np.multiply(terms, _SERIES_ALT[: k1 - k0], out=terms, where=neg)
+            tot = tot + np.add.reduce(terms, axis=1)
+            gone, fin, exact = [], [], []
+            for i, (t3, t2, t1) in enumerate(tails):
+                if peak[i] == math.inf:  # a term overflowed
+                    gone.append(i)
+                    continue
+                # stopping test: the tail does not rise and its last term is
+                # below 1e-17 * max(|partial sum|, chunk peak)
+                if not (t2 <= t3 and t1 <= t2):
+                    continue
+                scale = max(peak[i], 1e-300)
+                s, t = float(tot_abs[i]), abs(float(tot[i]))
+                v = None
+                if not t1 < 1e-17 * scale:
+                    # |partial sum| <= hi decides the test without the exact
+                    # sum, unless a float sum overflowed and left hi NaN
+                    hi = (t + k1 * _EPS * s) * (1.0 + 1e-9)
+                    if not math.isnan(hi) and t1 >= 1e-17 * max(hi, scale):
+                        continue
+                    v = math.fsum(buf[i, :k1].tolist())
+                    if not t1 < 1e-17 * max(abs(v), scale):
+                        continue
+                gone.append(i)
+                # audit screen: 6*eps*s / (t + K*eps*s) bounds the audit below
+                if 6.0 * _EPS * s * (1.0 - 1e-9) <= _SERIES_RTOL * (t + k1 * _EPS * s):
+                    fin.append(i)
+                    exact.append(v)
+            if fin:
+                sel = slice(len(fin)) if len(fin) == len(rows) else fin
+                _series_finish(buf[sel, :k1], exact, [rows[i] for i in fin],
+                               values, accepted)
+            if len(gone) == len(rows):
+                break
+            if gone:
+                keep = sorted(set(range(len(rows))).difference(gone))
+                buf[: len(keep), :k1] = buf[keep, :k1]
+                rows = [rows[i] for i in keep]
+                logabsz, neg, tot, tot_abs = (
+                    logabsz[keep], neg[keep], tot[keep], tot_abs[keep]
+                )
+    return values, accepted
+
+
+def _series_finish(terms, exact, rows, values, accepted):
+    """Exact sums and round-off audits of converged rows, written to
+    ``values`` and ``accepted`` at ``rows``; ``exact`` holds each row's sum
+    when already taken, else ``None``."""
+    work = np.abs(terms)
     # per-term relative error ~ eps * (|log term| + gamma-log magnitudes)
     lg_mag = np.abs(np.log(np.maximum(work, 1e-300)))
-    err = float(np.sum(work * _EPS * (lg_mag + 6.0)))
-    rel = err / abs(value) if value != 0.0 else np.inf
-    return value, rel, converged
+    err = np.add.reduce(work * _EPS * (lg_mag + 6.0), axis=1).tolist()
+    for i, r in enumerate(rows):
+        v = math.fsum(terms[i].tolist()) if exact[i] is None else exact[i]
+        values[r] = v
+        accepted[r] = v != 0.0 and err[i] / abs(v) <= _SERIES_RTOL
 
 
 def _log_abs_rgamma(y):
@@ -373,34 +455,37 @@ def _eval_large_neg(a, b, c, z):
 
 def _eval_batch(a, b, c, z):
     """Dispatch a 1-d array of arguments across evaluation regimes."""
-    out = np.empty_like(z)
-    large_neg = []
-    for i, zi in enumerate(z):
-        if zi == 0.0:
-            out[i] = rgamma(b)
-            continue
-        if zi > 0.0 or abs(zi) <= 40.0:
-            val, rel, converged = _series_sum(a, b, c, zi)
-            if converged and rel <= _SERIES_RTOL:
-                out[i] = val
-                if _BAND_LO <= zi <= _BAND_HI:
-                    alt = _eval_large_neg(a, b, c, np.array([zi]))[0]
-                    denom = max(abs(val), abs(alt))
-                    if denom > 0 and abs(val - alt) / denom > _CROSSCHECK_RTOL:
-                        raise AccuracyError(
-                            f"series/large-argument regimes disagree at "
-                            f"z={zi}: {val!r} vs {alt!r}"
-                        )
-                continue
-            if zi > 0.0:
-                raise AccuracyError(
-                    f"series for E_{{{a},{b}}}^{c}({zi}) did not converge "
-                    "within the term budget"
-                )
-        large_neg.append(i)
-    if large_neg:
-        idx = np.array(large_neg)
-        out[idx] = _eval_large_neg(a, b, c, z[idx])
+    out = np.full_like(z, rgamma(b))  # the value at z = 0
+    series = z >= -40.0
+    cand = (series & (z != 0.0)).nonzero()[0]
+    zs = z[cand]
+    vals, ok = _series_sum(a, b, c, zs)
+    out[cand] = vals
+    large = ~series
+    if not ok.all():
+        unconverged = zs[~ok & (zs > 0.0)]
+        if unconverged.size:
+            raise AccuracyError(
+                f"series for E_{{{a},{b}}}^{c}({unconverged[0]}) did not "
+                "converge within the term budget"
+            )
+        large[cand[~ok]] = True
+    band = ok & (zs >= _BAND_LO) & (zs <= _BAND_HI)
+    if band.any():
+        zb, val = zs[band], vals[band]
+        alt = _eval_large_neg(a, b, c, zb)
+        denom = np.maximum(np.abs(val), np.abs(alt))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = np.abs(val - alt) / denom
+        apart = np.flatnonzero((denom > 0.0) & (gap > _CROSSCHECK_RTOL))
+        if apart.size:
+            i = apart[0]
+            raise AccuracyError(
+                f"series/large-argument regimes disagree at "
+                f"z={zb[i]}: {float(val[i])!r} vs {float(alt[i])!r}"
+            )
+    if large.any():
+        out[large] = _eval_large_neg(a, b, c, z[large])
     return out
 
 
@@ -433,10 +518,10 @@ def prabhakar(a, b, c, z):
     if b <= 0.0 or c <= 0.0:
         raise DomainError(f"parameters b, c must be positive, got b={b}, c={c}")
     z_arr = np.asarray(z, dtype=float)
-    if np.any(np.abs(z_arr) > Z_MAX):
+    if (np.abs(z_arr) > Z_MAX).any():
         raise DomainError(f"|z| exceeds the overflow guard Z_MAX={Z_MAX:g}")
     scalar = z_arr.ndim == 0
-    flat = np.atleast_1d(z_arr).ravel()
+    flat = z_arr.reshape(-1)
     if a == 1.0:
         res = _closed_form_a1(b, c, flat)
     else:
@@ -469,7 +554,7 @@ def ml_density(t, k: MLKernelParams):
         If any ``t <= 0``.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
+    if (t_arr <= 0.0).any():
         raise DomainError("the kernel density is only defined for t > 0")
     if k.beta == 1.0:
         res = k.gamma * np.exp(-k.gamma * t_arr)

@@ -59,13 +59,6 @@ def test_criterion_c12_determinism(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         reports.append(json.loads(out.read_text()))
 
-    def strip(obj):
-        if isinstance(obj, dict):
-            return {k: strip(val) for k, val in obj.items() if k != "seconds"}
-        if isinstance(obj, list):
-            return [strip(val) for val in obj]
-        return obj
-
-    same = strip(reports[0]) == strip(reports[1])
+    same = v._canonical(reports[0]) == v._canonical(reports[1])
     print(f"\nACCEPTANCE c12 [{'PASS' if same else 'FAIL'}] seeded determinism")
     assert same

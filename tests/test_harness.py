@@ -186,6 +186,18 @@ class TestRunners:
         ref = expected_n(times, P)
         np.testing.assert_allclose(got, ref, atol=3e-3)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,gamma", [(0.5, 0.3, 1.7), (0.1, 0.99, 0.1), (0.5, 1.0, 0.8)]
+    )
+    def test_ilt_curve_inverts_count_image(self, alpha, beta, gamma):
+        p = ModelParams(1.0, alpha, beta, gamma)
+        times = np.unique(
+            np.concatenate([np.geomspace(1e-2, 1e3, 48), np.linspace(1e-2, 1e3, 32)])
+        )
+        got = expected_n_ilt_curve(p, np.concatenate([[0.0], times]))
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], expected_n(times, p), rtol=1e-8)
+
     def test_empirical_pmf(self):
         pmf = empirical_pmf(np.array([1, 1, 2, 4]))
         assert pmf == {1: 0.5, 2: 0.25, 4: 0.25}

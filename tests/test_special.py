@@ -10,12 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
 from fhawkes import (
+    AccuracyError,
     DomainError,
     MLKernelParams,
+    ModelParams,
     erfcx,
     ml_density,
     ml_one,
@@ -23,7 +27,8 @@ from fhawkes import (
     ml_spectral,
     prabhakar,
 )
-from fhawkes.simulate import replica_stream
+from fhawkes import special
+from fhawkes.simulate import intensity, replica_stream, simulate_cluster
 
 # oracle values, 20 significant digits
 ERFCX_1 = 0.42758357615580700441
@@ -80,6 +85,88 @@ class TestPrabhakar:
         lhs = prabhakar(a, 1.0, 1.0, z)
         rhs = z * prabhakar(a, 1.0 + a, 1.0, z) + 1.0
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-10
+
+
+# One batch per shape mixes z = 0, positive z, the series/large-argument
+# band [-6, -4], arguments the series rejects in [-40, -6] (cancellation or
+# overflow), and z < -40.
+_MIXED_Z = np.array(
+    [0.0, 0.3, 2.5, -0.7, -2.0, -4.0, -4.9, -6.0, -9.5, -17.0, -33.0, -40.0,
+     -41.0, -3.0e3, -7.0e5]
+)
+_SERIES_REJECTED = (-9.5, -17.0, -33.0)
+_SHAPES = [(0.5, 1.0, 1.0), (0.5, 0.5, 1.0), (0.9, 2.0, 1.0), (0.3, 1.0, 1.0),
+           (0.7, 1.3, 2.0)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestBatchedSeries:
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_batch_is_elementwise(self, shape):
+        batch = prabhakar(*shape, _MIXED_Z)
+        for i, zi in enumerate(_MIXED_Z):
+            assert _bits(batch[i]) == _bits(prabhakar(*shape, float(zi)))
+            one = prabhakar(*shape, _MIXED_Z[i : i + 1])
+            assert _bits(batch[i]) == _bits(one[0])
+
+    @pytest.mark.parametrize("shape", _SHAPES)
+    def test_rejected_row_leaves_others_alone(self, shape):
+        series_z = _MIXED_Z[(_MIXED_Z != 0.0) & (_MIXED_Z >= -40.0)]
+        _, accepted = special._series_sum(*shape, series_z)
+        assert not np.any(accepted[np.isin(series_z, _SERIES_REJECTED)])
+        full = prabhakar(*shape, _MIXED_Z)
+        for z_rej in _SERIES_REJECTED:
+            keep = _MIXED_Z != z_rej
+            np.testing.assert_array_equal(
+                _bits(prabhakar(*shape, _MIXED_Z[keep])), _bits(full[keep])
+            )
+
+    def test_intensity_on_long_path_matches_erfcx_form(self):
+        p = ModelParams(1.0, 0.5, 0.5, 1.0)
+        path = simulate_cluster(p, 1000.0, seed=3)
+        assert len(path) >= 1500
+        lags = 1000.0 - path.epochs
+        x = p.gamma * np.sqrt(lags)
+        dens = p.gamma / np.sqrt(lags) * (1.0 / math.sqrt(math.pi) - x * erfcx(x))
+        ref = p.lambda0 + p.alpha * math.fsum(dens)
+        assert intensity(1000.0, path, p) == pytest.approx(ref, rel=1e-9)
+
+
+_args = st.tuples(
+    st.floats(0.2, 1.0), st.floats(0.1, 3.0), st.floats(0.2, 3.0),
+    st.lists(st.floats(-1.0e4, 2.0), min_size=1, max_size=12),
+)
+
+
+class TestPrabhakarProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_args)
+    def test_batch_equals_elementwise(self, args):
+        a, b, c, zs = args
+        elems = []
+        for zi in zs:
+            try:
+                elems.append(prabhakar(a, b, c, zi))
+            except AccuracyError:
+                elems.append(None)
+        if None in elems:
+            with pytest.raises(AccuracyError):
+                prabhakar(a, b, c, np.array(zs))
+        else:
+            np.testing.assert_array_equal(
+                _bits(prabhakar(a, b, c, np.array(zs))), _bits(elems)
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.05, 1.0),
+           st.lists(st.floats(0.0, 1.0e4), min_size=2, max_size=16, unique=True))
+    def test_ml_one_decreases_on_negative_axis(self, beta, xs):
+        # regimes agree to ~1e-11, so neighbours closer than that may tie
+        v = ml_one(beta, -np.sort(xs))
+        assert np.all(v[1:] <= v[:-1] * (1.0 + 1e-10))
 
 
 class TestMlOne:
