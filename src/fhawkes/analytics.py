@@ -49,14 +49,16 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.lambda0 > 0.0:
-            raise DomainError(f"lambda0 must be positive, got {self.lambda0}")
+        if not 0.0 < self.lambda0 < math.inf:
+            raise DomainError(
+                f"lambda0 must be positive and finite, got {self.lambda0}"
+            )
         if not 0.0 <= self.alpha < 1.0:
             raise DomainError(f"alpha must be in [0, 1), got {self.alpha}")
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must be in (0, 1], got {self.beta}")
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
 
     def kernel(self) -> MLKernelParams:
         return MLKernelParams(self.beta, self.gamma)

@@ -22,7 +22,7 @@ from .errors import FHawkesError
 from .harness import ExperimentConfig, run_distribution, run_expected_n
 from .io import write_curves_csv, write_events_csv, write_report_json
 from .laplace import ilt_grid
-from .simulate import simulate_cluster, simulate_thinning
+from .simulate import _sampler
 from .validation import run_validation
 
 _MODEL_FLAGS = ("lambda0", "alpha", "beta", "gamma")
@@ -51,14 +51,6 @@ def _resolve_params(config, **flags) -> ModelParams:
     if missing:
         raise click.UsageError(f"missing model parameters: {', '.join(missing)}")
     return ModelParams(**{k: float(values[k]) for k in _MODEL_FLAGS})
-
-
-def _config_value(config, key, default):
-    if config:
-        data = json.loads(pathlib.Path(config).read_text())
-        if key in data:
-            return data[key]
-    return default
 
 
 @click.group(name="fhawkes")
@@ -151,8 +143,8 @@ def simulate_cmd(
 ):
     """Draw sample paths and write (replica, k, T_k) rows."""
     p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
-    sim = simulate_thinning if engine == "thinning" else simulate_cluster
-    seqs = [sim(p, horizon, seed, replica=r) for r in range(replicas)]
+    draw = _sampler(engine, p, horizon)
+    seqs = [draw(seed, r) for r in range(replicas)]
     write_events_csv(out, seqs)
     total = sum(len(s) for s in seqs)
     click.echo(f"wrote {total} events over {replicas} replicas to {out}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.stats import chisquare, poisson
@@ -22,12 +21,7 @@ from .analytics import ModelParams, expected_n, lambda_image
 from .errors import DomainError
 from .io import write_curves_csv, write_dist_csv
 from .laplace import IltConfig, LaplaceImage, ilt_grid
-from .simulate import (
-    simulate_cluster,
-    simulate_exp_hawkes,
-    simulate_poisson,
-    simulate_thinning,
-)
+from .simulate import _sampler
 
 __all__ = [
     "CountDistribution",
@@ -53,6 +47,13 @@ class CountDistribution:
     def __post_init__(self):
         if sum(self.counts.values()) != self.replicas:
             raise DomainError("histogram frequencies must sum to the replica count")
+
+    @classmethod
+    def from_counts(cls, col: np.ndarray, t: float, params: ModelParams, **kw):
+        """Histogram of one count per replica."""
+        ks, freqs = np.unique(col, return_counts=True)
+        counts = dict(zip(ks.tolist(), freqs.tolist()))
+        return cls(float(t), counts, int(col.size), params, **kw)
 
     def pmf(self) -> dict[int, float]:
         return {k: v / self.replicas for k, v in self.counts.items()}
@@ -114,7 +115,6 @@ class ExperimentConfig:
     engines: tuple = ("thinning",)
     comparisons: tuple = ()
     output_path: str | None = None
-    format: str = "csv"
 
     def __post_init__(self):
         self.times = tuple(float(t) for t in self.times)
@@ -130,30 +130,18 @@ class ExperimentConfig:
                 raise DomainError(f"unknown comparison {cmp_!r}")
 
 
-_SIMULATORS: dict[str, Callable] = {
-    "thinning": lambda p, horizon, seed, rep: simulate_thinning(p, horizon, seed, rep),
-    "cluster": lambda p, horizon, seed, rep: simulate_cluster(p, horizon, seed, rep),
-    "exp_hawkes": lambda p, horizon, seed, rep: simulate_exp_hawkes(
-        p.lambda0, p.alpha, p.gamma, horizon, seed, rep
-    ),
-    "poisson": lambda p, horizon, seed, rep: simulate_poisson(
-        p.lambda0, horizon, seed, rep
-    ),
-}
-
-
 def count_matrix(
     p: ModelParams, times, replicas: int, seed: int, engine: str = "thinning"
 ) -> np.ndarray:
     """(replicas x len(times)) matrix of counts N(t), one simulated path per
-    row, all counted from the same path."""
+    row, all counted from the same path.  Row ``r`` is the path of replica
+    ``r``, as the engine's ``simulate_*`` function draws it; the thinning
+    kernel is built and certified once for all rows."""
     times = np.asarray(times, dtype=float)
-    horizon = float(times.max())
-    sim = _SIMULATORS[engine]
+    draw = _sampler(engine, p, float(times.max()))
     out = np.empty((replicas, times.size), dtype=np.int64)
     for r in range(replicas):
-        seq = sim(p, horizon, seed, r)
-        out[r] = np.searchsorted(seq.epochs, times, side="right")
+        out[r] = np.searchsorted(draw(seed, r).epochs, times, side="right")
     return out
 
 
@@ -237,23 +225,16 @@ def run_distribution(cfg: ExperimentConfig) -> list[CountDistribution]:
     records = []
     for j, t in enumerate(times):
         col = counts[:, j]
-        ks, freqs = np.unique(col, return_counts=True)
-        kmax = int(ks.max()) if ks.size else 0
         reference = None
         if "poisson" in cfg.comparisons:
             reference = (
                 "poisson",
-                poisson_reference_pmf(cfg.params.lambda0 * t, kmax + 10),
+                poisson_reference_pmf(cfg.params.lambda0 * t, int(col.max()) + 10),
             )
         elif "exp-hawkes" in cfg.comparisons:
             reference = ("exp_hawkes_empirical", empirical_pmf(ref_counts[:, j]))
-        dist = CountDistribution(
-            t=float(t),
-            counts={int(k): int(f) for k, f in zip(ks, freqs)},
-            replicas=cfg.replicas,
-            params=cfg.params,
-            reference=reference,
-            engine=engine,
+        dist = CountDistribution.from_counts(
+            col, t, cfg.params, reference=reference, engine=engine
         )
         dists.append(dist)
         p_hat = dist.pmf()

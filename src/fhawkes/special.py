@@ -77,8 +77,8 @@ class MLKernelParams:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must be in (0, 1], got {self.beta}")
-        if not self.gamma > 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 def erfcx(x):
@@ -177,7 +177,10 @@ def _series_sum(a, b, c, z):
                     hi = (t + k1 * _EPS * s) * (1.0 + 1e-9)
                     if not math.isnan(hi) and t1 >= 1e-17 * max(hi, scale):
                         continue
-                    v = math.fsum(buf[i, :k1].tolist())
+                    try:
+                        v = math.fsum(buf[i, :k1].tolist())
+                    except OverflowError:  # rejected in _series_finish
+                        v = math.inf
                     if not t1 < 1e-17 * max(abs(v), scale):
                         continue
                 gone.append(i)
@@ -204,15 +207,19 @@ def _series_sum(a, b, c, z):
 def _series_finish(terms, exact, rows, values, accepted):
     """Exact sums and round-off audits of converged rows, written to
     ``values`` and ``accepted`` at ``rows``; ``exact`` holds each row's sum
-    when already taken, else ``None``."""
+    when already taken, else ``None``.  A row whose sum overflows is
+    rejected."""
     work = np.abs(terms)
     # per-term relative error ~ eps * (|log term| + gamma-log magnitudes)
     lg_mag = np.abs(np.log(np.maximum(work, 1e-300)))
     err = np.add.reduce(work * _EPS * (lg_mag + 6.0), axis=1).tolist()
     for i, r in enumerate(rows):
-        v = math.fsum(terms[i].tolist()) if exact[i] is None else exact[i]
+        try:
+            v = math.fsum(terms[i].tolist()) if exact[i] is None else exact[i]
+        except OverflowError:
+            v = math.inf
         values[r] = v
-        accepted[r] = v != 0.0 and err[i] / abs(v) <= _SERIES_RTOL
+        accepted[r] = 0.0 < abs(v) < math.inf and err[i] / abs(v) <= _SERIES_RTOL
 
 
 def _log_abs_rgamma(y):
@@ -330,20 +337,14 @@ def _gammainc_lower(s, xi):
     return gammainc(s, xi) * _gamma_fn(s)
 
 
-def _spectral_one(a, x):
-    """E_{a,1}(-x) for x > 0 via the completely monotone mixture integral;
-    exact leading behavior 1/(x*Gamma(1-a)) is reproduced by construction."""
+def _spectral(a, x, moment):
+    """E_{a,1}(-x) (``moment=0``) or E_{a,a}(-x) (``moment=1``) for x > 0 via
+    the completely monotone mixture integral; the leading behavior,
+    1/(x*Gamma(1-a)) or a multiple of x**-2, is factored analytically, so no
+    overflow."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = _spectral_mixture(a, x, moment=0.0)
-    return math.sin((1.0 - a) * math.pi) / math.pi * total / x
-
-
-def _spectral_aa(a, x):
-    """E_{a,a}(-x) for x > 0 via the kernel-density mixture integral; the
-    x**-2 leading behavior is factored analytically, so no overflow."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = _spectral_mixture(a, x, moment=1.0)
-    return math.sin((1.0 - a) * math.pi) / math.pi * total / (x * x)
+    total = _spectral_mixture(a, x, moment)
+    return math.sin((1.0 - a) * math.pi) / math.pi * total / x ** (1.0 + moment)
 
 
 # Parabolic Bromwich contour tuned once for unit time.  The integrand's
@@ -402,7 +403,7 @@ def _recurrence_steps(a, b):
 def _spectral_with_recurrence(a, base, steps, z):
     """E_{a, base + steps*a}(z) from the spectral value at the base shape via
     E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z; stable for large |z|."""
-    vals = _spectral_one(a, -z) if base == 1.0 else _spectral_aa(a, -z)
+    vals = _spectral(a, -z, 0.0 if base == 1.0 else 1.0)
     b_cur = base
     for _ in range(steps):
         vals = (vals - rgamma(b_cur)) / z
@@ -419,13 +420,9 @@ def _eval_large_neg(a, b, c, z):
     out = np.empty_like(z)
     pending = np.ones(z.shape, dtype=bool)
     if c == 1.0:
-        if b == 1.0:
+        if b in (1.0, a):
             mask = z <= -0.6
-            out[mask] = _spectral_one(a, -z[mask])
-            pending &= ~mask
-        elif b == a:
-            mask = z <= -0.6
-            out[mask] = _spectral_aa(a, -z[mask])
+            out[mask] = _spectral(a, -z[mask], 0.0 if b == 1.0 else 1.0)
             pending &= ~mask
         else:
             reduction = _recurrence_steps(a, b)
@@ -467,7 +464,7 @@ def _eval_batch(a, b, c, z):
         if unconverged.size:
             raise AccuracyError(
                 f"series for E_{{{a},{b}}}^{c}({unconverged[0]}) did not "
-                "converge within the term budget"
+                "converge within the term budget or the double range"
             )
         large[cand[~ok]] = True
     band = ok & (zs >= _BAND_LO) & (zs <= _BAND_HI)

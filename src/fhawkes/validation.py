@@ -219,16 +219,6 @@ def _mc_vs_curve(p, times, replicas, seed, reference, engine="thinning"):
     return mc, se, float(np.max(dev))
 
 
-def _distribution_from(col: np.ndarray, t: float, p: ModelParams) -> CountDistribution:
-    ks, freqs = np.unique(col, return_counts=True)
-    return CountDistribution(
-        float(t),
-        {int(k): int(f) for k, f in zip(ks, freqs)},
-        int(col.size),
-        p,
-    )
-
-
 def c06_expected_count_half(cfg: ValidationConfig) -> dict:
     """Monte Carlo mean of N(t) within 3 standard errors of the beta=1/2
     closed form on t = 1..10 for each kernel time scale."""
@@ -312,7 +302,7 @@ def c09_poisson_limit(cfg: ValidationConfig) -> dict:
         p = ModelParams(1.0, 0.01, beta, 1.0)
         counts = count_matrix(p, times, cfg.replicas, cfg.seed + 90 + i)
         for j, t in enumerate(times):
-            dist = _distribution_from(counts[:, j], t, p)
+            dist = CountDistribution.from_counts(counts[:, j], t, p)
             kmax = max(dist.counts)
             tv = dist.tv_distance(poisson_reference_pmf(p.lambda0 * t, kmax + 30))
             details[f"beta={beta},t={t}"] = tv
@@ -340,7 +330,7 @@ def c10_exponential_limit(cfg: ValidationConfig) -> dict:
         counts = count_matrix(p, times, cfg.replicas, cfg.seed + 100 + i)
         ref = count_matrix(p, times, cfg.replicas, cfg.seed + 100 + i, "exp_hawkes")
         for j, t in enumerate(times):
-            dist = _distribution_from(counts[:, j], t, p)
+            dist = CountDistribution.from_counts(counts[:, j], t, p)
             tv = dist.tv_distance(empirical_pmf(ref[:, j]))
             details[f"alpha={alpha},t={t}"] = tv
             worst = max(worst, tv)
@@ -364,7 +354,7 @@ def c11_poisson_rejected(cfg: ValidationConfig) -> dict:
         p = ModelParams(1.0, 0.5, beta, 1.0)
         counts = count_matrix(p, times, cfg.replicas, cfg.seed + 110 + i)
         for j, t in enumerate(times):
-            dist = _distribution_from(counts[:, j], t, p)
+            dist = CountDistribution.from_counts(counts[:, j], t, p)
             kmax = max(dist.counts)
             _, pvalue, _ = dist.chi_square(
                 poisson_reference_pmf(p.lambda0 * t, kmax + 30)
@@ -386,9 +376,7 @@ def c12_determinism(cfg: ValidationConfig, records: list | None = None) -> dict:
     reports (timings excluded).
 
     ``records`` are the c01-c11 records this smoke run already computed;
-    they serve as the first run, so only one more is needed.  The first run
-    builds the simulator's kernel tables and the rerun reuses them, so a
-    result that depends on that cache also fails the check.
+    they serve as the first run, so only one more is needed.
     """
     t0 = time.perf_counter()
     if cfg.smoke and records is not None:

@@ -117,6 +117,16 @@ class TestSimulateCmd:
             files.append(out.read_text())
         assert files[0] == files[1]
 
+    def test_infinite_horizon_is_numerical_failure(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fhawkes.cli", "simulate", *MODEL,
+             "--horizon", "inf", "--out", str(tmp_path / "ev.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "numerical failure" in proc.stderr
+
 
 class TestDistCmd:
     def test_poisson_compare(self, runner, tmp_path):

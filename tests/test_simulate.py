@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import kstest, ks_2samp, poisson
 
 from fhawkes import (
+    AccuracyError,
     BudgetError,
     DomainError,
     EventSequence,
@@ -16,12 +17,15 @@ from fhawkes import (
     expected_n,
     intensity,
     ml_density,
+    ml_one,
     simulate_cluster,
     simulate_exp_hawkes,
     simulate_poisson,
     simulate_thinning,
 )
-from fhawkes.simulate import counts_at, replica_stream
+from fhawkes import simulate
+from fhawkes.harness import count_matrix
+from fhawkes.simulate import _exp_mixture, replica_stream
 
 E_055_M01 = 0.47454388555084361831  # E_{0.5,0.5}(-0.1)
 
@@ -29,8 +33,11 @@ P_WEAK = ModelParams(1.0, 0.1, 0.5, 0.8)
 P_STRONG = ModelParams(1.0, 0.5, 0.5, 1.0)
 
 
-def _counts(sim, n, **kw):
-    return np.array([len(sim(replica=r, **kw)) for r in range(n)])
+def _counts(engine, n, p, horizon, seed):
+    """N(horizon) on replicas 0..n-1 of one engine.  count_matrix draws
+    replica r's path as the engine's simulate_* function does (see
+    TestStreams), but builds the thinning kernel once for all of them."""
+    return count_matrix(p, [horizon], n, seed, engine)[:, 0]
 
 
 class TestIntensity:
@@ -81,7 +88,7 @@ class TestEventSequence:
         seq = EventSequence(np.array([1.0, 2.0, 5.0]), 10.0, 0, "poisson")
         assert seq.count_at(0.5) == 0
         assert seq.count_at(2.0) == 2
-        assert counts_at(seq, [1.5, 10.0]).tolist() == [1, 3]
+        assert [seq.count_at(1.5), seq.count_at(10.0)] == [1, 3]
 
     def test_json_round_trip(self):
         seq = simulate_thinning(P_WEAK, 5.0, seed=3)
@@ -122,7 +129,7 @@ class TestPoissonReference:
 class TestThinning:
     def test_poisson_degenerate_mean(self):
         p = ModelParams(1.0, 0.0, 0.5, 1.0)
-        counts = _counts(simulate_thinning, 3000, p=p, horizon=10.0, seed=21)
+        counts = _counts("thinning", 3000, p=p, horizon=10.0, seed=21)
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - 10.0) < 3.0 * se
 
@@ -131,12 +138,15 @@ class TestThinning:
         gaps = []
         for r in range(300):
             seq = simulate_thinning(p, 20.0, seed=22, replica=r)
-            gaps.extend(np.diff(np.concatenate([[0.0], seq.epochs])))
+            # only the first 10 gaps: all the gaps inside the horizon are
+            # shorter than Exp(1) on average, since the one that straddles
+            # it is dropped; fewer than 10 events by t = 20 has p = 0.005
+            gaps.extend(np.diff(np.concatenate([[0.0], seq.epochs]))[:10])
         stat, pvalue = kstest(np.asarray(gaps), "expon")
         assert pvalue > 0.01
 
     def test_mean_matches_closed_form(self):
-        counts = _counts(simulate_thinning, 3000, p=P_WEAK, horizon=10.0, seed=23)
+        counts = _counts("thinning", 3000, p=P_WEAK, horizon=10.0, seed=23)
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - expected_n(10.0, P_WEAK)) < 3.0 * se
 
@@ -151,7 +161,7 @@ class TestThinning:
 
     def test_subcritical_stress(self):
         p = ModelParams(1.0, 0.9, 0.5, 1.0)
-        counts = _counts(simulate_thinning, 1200, p=p, horizon=10.0, seed=24)
+        counts = _counts("thinning", 1200, p=p, horizon=10.0, seed=24)
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - expected_n(10.0, p)) < 3.0 * se
 
@@ -159,7 +169,7 @@ class TestThinning:
 class TestCluster:
     def test_alpha_zero_is_poisson(self):
         p = ModelParams(1.0, 0.0, 0.5, 1.0)
-        counts = _counts(simulate_cluster, 3000, p=p, horizon=10.0, seed=31)
+        counts = _counts("cluster", 3000, p=p, horizon=10.0, seed=31)
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - 10.0) < 3.0 * se
 
@@ -167,19 +177,19 @@ class TestCluster:
         # each immigrant founds a cascade of mean size 1/(1-alpha), so the
         # mean offspring per event is recovered through the totals
         p = ModelParams(1.0, 0.4, 0.5, 4.0)  # fast kernel: few truncated children
-        counts = _counts(simulate_cluster, 4000, p=p, horizon=40.0, seed=35)
+        counts = _counts("cluster", 4000, p=p, horizon=40.0, seed=35)
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - expected_n(40.0, p)) < 3.0 * se
 
     def test_mean_matches_closed_form(self):
-        counts = _counts(simulate_cluster, 5000, p=P_STRONG, horizon=10.0, seed=32)
+        counts = _counts("cluster", 5000, p=P_STRONG, horizon=10.0, seed=32)
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - expected_n(10.0, P_STRONG)) < 3.0 * se
 
     def test_engines_agree_in_law(self):
         n = 2500
-        a = _counts(simulate_thinning, n, p=P_STRONG, horizon=10.0, seed=33)
-        b = _counts(simulate_cluster, n, p=P_STRONG, horizon=10.0, seed=33)
+        a = _counts("thinning", n, p=P_STRONG, horizon=10.0, seed=33)
+        b = _counts("cluster", n, p=P_STRONG, horizon=10.0, seed=33)
         stat, pvalue = ks_2samp(a, b)
         assert pvalue > 0.01
 
@@ -192,8 +202,8 @@ class TestCluster:
         # unbiased for the closed-form mean, on every figure parameter set
         p = ModelParams(1.0, alpha, beta, 1.0)
         n = 1200
-        a = _counts(simulate_thinning, n, p=p, horizon=10.0, seed=34)
-        b = _counts(simulate_cluster, n, p=p, horizon=10.0, seed=34)
+        a = _counts("thinning", n, p=p, horizon=10.0, seed=34)
+        b = _counts("cluster", n, p=p, horizon=10.0, seed=34)
         stat, pvalue = ks_2samp(a, b)
         assert pvalue > 0.01
         ref = expected_n(10.0, p)
@@ -246,16 +256,81 @@ class TestStreams:
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
+    def test_count_matrix_rows_are_simulated_paths(self):
+        times = [2.0, 10.0]
+        sims = {
+            "thinning": lambda r: simulate_thinning(P_STRONG, 10.0, 11, r),
+            "cluster": lambda r: simulate_cluster(P_STRONG, 10.0, 11, r),
+            "exp_hawkes": lambda r: simulate_exp_hawkes(1.0, 0.5, 1.0, 10.0, 11, r),
+            "poisson": lambda r: simulate_poisson(1.0, 10.0, 11, r),
+        }
+        for engine, sim in sims.items():
+            rows = count_matrix(P_STRONG, times, 4, 11, engine)
+            for r in range(4):
+                seq = sim(r)
+                assert rows[r].tolist() == [seq.count_at(t) for t in times]
+
     def test_order_insensitive(self):
         late = replica_stream(9, "thinning", 500).random(3)
         again = replica_stream(9, "thinning", 500).random(3)
         np.testing.assert_array_equal(late, again)
 
-    def test_kernel_table_accuracy(self):
-        from fhawkes.simulate import _kernel_table
 
-        k = MLKernelParams(0.5, 0.8)
-        table = _kernel_table(k, 10.0)
-        taus = np.geomspace(1e-9, 9.9, 500)
-        rel = np.abs(table(taus) - ml_density(taus, k)) / ml_density(taus, k)
-        assert np.max(rel) < 1e-5
+class TestKernelMixture:
+    def test_matches_ml_density(self):
+        # the surrogate against the exact density on the certified lags, and
+        # the mass it keeps on [0, H], at the certification budget
+        for beta in (0.3, 0.5, 0.7, 0.9, 0.99):
+            for gamma in (0.1, 1.0, 1.7):
+                k = MLKernelParams(beta, gamma)
+                for horizon in (10.0, 1000.0):
+                    rates, weights = _exp_mixture(k, horizon)
+                    lags = np.geomspace(1e-8, horizon, 300)
+                    approx = np.exp(-np.outer(lags, rates)) @ weights
+                    exact = ml_density(lags, k)
+                    assert np.max(np.abs(approx - exact) / exact) < 1e-6
+                    kept = weights / rates @ -np.expm1(-rates * horizon)
+                    mass = 1.0 - ml_one(beta, -gamma * horizon**beta)
+                    assert abs(kept - mass) < 1e-6
+
+    def test_certification_raises_over_budget(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_MIXTURE_RTOL", 1e-12)
+        with pytest.raises(AccuracyError):
+            _exp_mixture(MLKernelParams(0.5, 1.0), 10.0)
+
+    def test_beta_one_is_the_exponential_kernel(self):
+        rates, weights = _exp_mixture(MLKernelParams(1.0, 2.5), 10.0)
+        assert rates.tolist() == [2.5] and weights.tolist() == [2.5]
+
+
+class TestEpochs:
+    @pytest.mark.parametrize("beta,horizon", [(0.3, 1000.0), (0.2, 100.0)])
+    def test_strictly_increasing(self, beta, horizon):
+        # a child delay, or a thinning step, below one ulp of the last epoch
+        # must not repeat that epoch; EventSequence rejects repeats
+        p = ModelParams(1.0, 0.5, beta, 1.0)
+        count_matrix(p, [horizon], 200, 5, "cluster")
+        count_matrix(p, [horizon], 40, 5, "thinning")
+
+
+class TestFiniteInputs:
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+    def test_horizon(self, horizon):
+        for call in (
+            lambda: simulate_thinning(P_WEAK, horizon, seed=1),
+            lambda: simulate_cluster(P_WEAK, horizon, seed=1),
+            lambda: simulate_exp_hawkes(1.0, 0.5, 1.0, horizon, seed=1),
+            lambda: simulate_poisson(1.0, horizon, seed=1),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    def test_params(self):
+        with pytest.raises(DomainError):
+            ModelParams(math.inf, 0.1, 0.5, 1.0)
+        with pytest.raises(DomainError):
+            ModelParams(1.0, 0.1, 0.5, math.inf)
+        with pytest.raises(DomainError):
+            MLKernelParams(0.5, math.inf)
+        with pytest.raises(DomainError):
+            intensity(math.nan, np.array([1.0]), P_WEAK)

@@ -73,6 +73,14 @@ class TestPrabhakar:
         with pytest.raises(DomainError):
             prabhakar(0.5, 1.0, 1.0, -1e9)
 
+    def test_series_overflow_is_accuracy_error(self):
+        # E_{1/2}(z) ~ 2*exp(z**2) passes the double range just above 26.6;
+        # the exact sum of the series terms overflows there
+        assert np.isfinite(prabhakar(0.5, 1.0, 1.0, 26.5))
+        for z in (26.65, np.array([1.0, 26.65])):
+            with pytest.raises(AccuracyError):
+                prabhakar(0.5, 1.0, 1.0, z)
+
     def test_vectorized_matches_scalar(self):
         z = np.array([-0.5, -8.0, -300.0, 0.0, 1.5])
         vec = prabhakar(0.7, 1.0, 1.0, z)
