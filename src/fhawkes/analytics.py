@@ -86,6 +86,15 @@ class CurveSample:
             self.error_estimate = np.asarray(self.error_estimate, dtype=float)
 
 
+def _times(t, quantity):
+    """``t`` as a float array; raises DomainError unless every time is
+    ``>= 0`` (so NaN is rejected too)."""
+    t_arr = np.asarray(t, dtype=float)
+    if not (t_arr >= 0.0).all():
+        raise DomainError(f"{quantity} requires t >= 0")
+    return t_arr
+
+
 def lambda_image(p: ModelParams) -> LaplaceImage:
     """Laplace image of the expected intensity:
     ``(lambda0/s) * (gamma + s**beta) / ((1-alpha)*gamma + s**beta)`` with
@@ -111,11 +120,12 @@ def lambda_exact_half(t, p: ModelParams):
     ``L - (alpha/(1-alpha))*lambda0*erfcx((1-alpha)*gamma*sqrt(t))`` with
     ``L`` the asymptote.
 
-    Raises :class:`DomainError` unless ``p.beta == 0.5`` exactly.
+    Raises :class:`DomainError` unless ``p.beta == 0.5`` exactly, or if a
+    time is not ``>= 0``.
     """
     if p.beta != 0.5:
         raise DomainError("closed form requires beta = 1/2 exactly")
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _times(t, "expected intensity")
     x = (1.0 - p.alpha) * p.gamma * np.sqrt(t_arr)
     res = asymptote(p) * (1.0 - p.alpha * erfcx(x))
     return float(res) if t_arr.ndim == 0 else res
@@ -128,9 +138,7 @@ def lambda_exact(t, p: ModelParams):
     Equals ``lambda0`` at ``t = 0`` and increases strictly toward the
     asymptote for ``alpha > 0``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("expected intensity requires t >= 0")
+    t_arr = _times(t, "expected intensity")
     z = (p.alpha - 1.0) * p.gamma * t_arr ** p.beta
     res = asymptote(p) * (1.0 - p.alpha * ml_one(p.beta, z))
     return float(res) if t_arr.ndim == 0 else res
@@ -144,9 +152,7 @@ def expected_n_half(t, p: ModelParams):
     """
     if p.beta != 0.5:
         raise DomainError("closed form requires beta = 1/2 exactly")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("expected count requires t >= 0")
+    t_arr = _times(t, "expected count")
     one_m = 1.0 - p.alpha
     x = one_m * p.gamma * np.sqrt(t_arr)
     bracket = _SQRT_PI * (erfcx(x) - 1.0) + 2.0 * x
@@ -163,9 +169,7 @@ def expected_n(t, p: ModelParams):
     ``lambda0*t/(1-alpha) - (alpha*lambda0/(1-alpha)) * t *
     E_{beta,2}((alpha-1)*gamma*t**beta)``; nonnegative and nondecreasing.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise DomainError("expected count requires t >= 0")
+    t_arr = _times(t, "expected count")
     z = (p.alpha - 1.0) * p.gamma * t_arr ** p.beta
     e = prabhakar(p.beta, 2.0, 1.0, z)
     res = (p.lambda0 / (1.0 - p.alpha)) * t_arr * (1.0 - p.alpha * e)

@@ -112,7 +112,6 @@ class ExperimentConfig:
     times: tuple
     replicas: int
     seed: int
-    engines: tuple = ("thinning",)
     comparisons: tuple = ()
     output_path: str | None = None
 
@@ -122,11 +121,8 @@ class ExperimentConfig:
             raise DomainError("replicas must be >= 1")
         if list(self.times) != sorted(self.times):
             raise DomainError("times must be sorted")
-        for e in self.engines:
-            if e not in ("thinning", "cluster"):
-                raise DomainError(f"unknown process engine {e!r}")
         for cmp_ in self.comparisons:
-            if cmp_ not in ("poisson", "exp-hawkes", "exact", "ilt"):
+            if cmp_ not in ("poisson", "exp-hawkes", "ilt"):
                 raise DomainError(f"unknown comparison {cmp_!r}")
 
 
@@ -161,16 +157,16 @@ def expected_n_ilt_curve(p: ModelParams, times, cfg: IltConfig | None = None):
 
 
 def run_expected_n(cfg: ExperimentConfig) -> dict:
-    """Monte Carlo mean of N(t) with standard errors, the closed-form curve,
-    and optionally the numerical inversion of the expected-count image.
+    """Monte Carlo mean of N(t) over thinning paths with standard errors,
+    the closed-form curve, and optionally the numerical inversion of the
+    expected-count image.
 
     Returns a dict with ``times``, ``mc_mean``, ``mc_se``, ``exact`` and
     (if requested via comparisons) ``ilt`` arrays, and writes the curve
     table when ``output_path`` is set.
     """
     times = np.asarray(cfg.times, dtype=float)
-    engine = cfg.engines[0]
-    counts = count_matrix(cfg.params, times, cfg.replicas, cfg.seed, engine)
+    counts = count_matrix(cfg.params, times, cfg.replicas, cfg.seed)
     mc_mean = counts.mean(axis=0)
     mc_se = counts.std(axis=0, ddof=1) / math.sqrt(cfg.replicas)
     out = {
@@ -178,7 +174,7 @@ def run_expected_n(cfg: ExperimentConfig) -> dict:
         "mc_mean": mc_mean,
         "mc_se": mc_se,
         "exact": expected_n(times, cfg.params),
-        "engine": engine,
+        "engine": "thinning",
         "replicas": cfg.replicas,
     }
     if "ilt" in cfg.comparisons:
@@ -210,12 +206,12 @@ def empirical_pmf(values: np.ndarray) -> dict[int, float]:
 
 
 def run_distribution(cfg: ExperimentConfig) -> list[CountDistribution]:
-    """Empirical pmf of N(t) at each requested time with the requested
-    reference attached (Poisson with mean lambda0*t, or the empirical pmf of
-    the exponential-kernel process at matched ``(seed, replica)`` indices)."""
+    """Empirical pmf of N(t) over thinning paths at each requested time,
+    with the requested reference attached (Poisson with mean lambda0*t, or
+    the empirical pmf of the exponential-kernel process at matched
+    ``(seed, replica)`` indices)."""
     times = np.asarray(cfg.times, dtype=float)
-    engine = cfg.engines[0]
-    counts = count_matrix(cfg.params, times, cfg.replicas, cfg.seed, engine)
+    counts = count_matrix(cfg.params, times, cfg.replicas, cfg.seed)
     ref_counts = None
     if "exp-hawkes" in cfg.comparisons:
         ref_counts = count_matrix(
@@ -234,7 +230,7 @@ def run_distribution(cfg: ExperimentConfig) -> list[CountDistribution]:
         elif "exp-hawkes" in cfg.comparisons:
             reference = ("exp_hawkes_empirical", empirical_pmf(ref_counts[:, j]))
         dist = CountDistribution.from_counts(
-            col, t, cfg.params, reference=reference, engine=engine
+            col, t, cfg.params, reference=reference
         )
         dists.append(dist)
         p_hat = dist.pmf()

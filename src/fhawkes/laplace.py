@@ -53,13 +53,12 @@ class IltConfig:
     """Tuning knobs of the Bromwich midpoint inversion.
 
     ``contour_offset`` fixes the abscissa explicitly (must lie strictly
-    right of ``sigma0``); when ``None`` and ``t_scale_mode="adaptive"`` the
-    offset is derived per evaluation time from ``decay``.
+    right of ``sigma0``); when ``None`` the offset is derived per evaluation
+    time from ``decay``.
     """
 
     contour_offset: float | None = None
     n_terms: int = 2000
-    t_scale_mode: str = "adaptive"
     decay: float = 24.0
     euler_terms: int = 32
     target_tol: float = 1e-6
@@ -68,10 +67,6 @@ class IltConfig:
     def __post_init__(self):
         if self.n_terms < 8 or self.n_terms % 2:
             raise DomainError("n_terms must be an even integer >= 8")
-        if self.t_scale_mode not in ("adaptive", "fixed"):
-            raise DomainError("t_scale_mode must be 'adaptive' or 'fixed'")
-        if self.t_scale_mode == "fixed" and self.contour_offset is None:
-            raise DomainError("fixed mode requires an explicit contour_offset")
         if self.euler_terms < 4:
             raise DomainError("euler_terms must be >= 4")
 

@@ -3,7 +3,7 @@ the Mittag-Leffler kernel density with a time scale, its spectral
 representation, the scaled complementary error function, and exact
 Mittag-Leffler random-variate sampling.
 
-Evaluation of ``E_{a,b}^c(z)`` on the real axis uses four regimes:
+Evaluation of ``E_{a,b}^c(z)`` on the real axis uses three regimes:
 
 * truncated power series with exact accumulation, accepted only when a
   cancellation audit shows the floating-point result keeps ~12 digits.  All
@@ -11,15 +11,15 @@ Evaluation of ``E_{a,b}^c(z)`` on the real axis uses four regimes:
   provable lower bound on the audit spares the exact sum of arguments it
   already rejects, and each rejected argument falls back to the regimes
   below on its own, without affecting the others;
-* positive-integrand spectral quadrature for the shapes the point process
-  needs: ``(b=1, c=1)`` and ``(b=a, c=1)`` directly, and any ``b`` reachable
-  from those through the two-parameter recurrence;
-* algebraic large-argument expansion in ``1/|z|``, accepted only when its
-  smallest term certifies the target accuracy;
-* a parabolic Bromwich contour for every remaining shape.
+* positive-integrand spectral quadrature for the two shapes the kernel and
+  the expected intensity need, ``(b=1, c=1)`` and ``(b=a, c=1)``;
+* a parabolic Bromwich contour, vectorised over the arguments, for every
+  other shape, accepted only while its conditioning estimate stays small.
 
-Regimes are cross-checked where their bands overlap; an unresolvable
-disagreement raises :class:`~fhawkes.errors.AccuracyError`.
+The series and the large-argument regimes are cross-checked on the band
+where they overlap; a disagreement, or a contour evaluation whose
+conditioning exceeds its budget, raises
+:class:`~fhawkes.errors.AccuracyError`.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ Z_MAX = 1.0e8
 # Accept a series evaluation only if the audited round-off, dominated by the
 # largest term, stays below this relative level.
 _SERIES_RTOL = 1.0e-11
-# Accept the large-argument expansion only if its smallest term is this small
-# relative to the partial sum.
-_ASYMPTOTIC_RTOL = 1.0e-12
 # Regimes active on the same band must agree to this relative tolerance.
 _CROSSCHECK_RTOL = 1.0e-8
 # Hand-off band between the series and the large-|z| regimes.
@@ -222,64 +219,9 @@ def _series_finish(terms, exact, rows, values, accepted):
         accepted[r] = 0.0 < abs(v) < math.inf and err[i] / abs(v) <= _SERIES_RTOL
 
 
-def _log_abs_rgamma(y):
-    """``(log|1/Gamma(y)|, sign(1/Gamma(y)))`` elementwise, overflow-free.
-
-    Negative arguments go through the reflection formula; at the poles of
-    Gamma the reciprocal is exactly zero (log -> -inf, sign 0).
-    """
-    y = np.asarray(y, dtype=float)
-    pos = y > 0.5
-    logabs = np.empty_like(y)
-    sign = np.ones_like(y)
-    logabs[pos] = -gammaln(y[pos])
-    yn = y[~pos]
-    s = np.sin(np.pi * yn)
-    with np.errstate(divide="ignore"):
-        logabs[~pos] = np.log(np.abs(s)) + gammaln(1.0 - yn) - math.log(math.pi)
-    sign[~pos] = np.sign(s)
-    return logabs, sign
-
-
-def _asymptotic_sum(a, b, c, x, jmax=220):
-    """Algebraic expansion of E_{a,b}^c(-x) in powers of 1/x for x > 0.
-
-    Returns ``(value, rel_err_estimate)``; the estimate is the envelope of
-    the first omitted nonzero term, valid once the envelope starts growing.
-    """
-    js = np.arange(jmax, dtype=float)
-    logx = math.log(x)
-    lg = gammaln(c + js) - gammaln(js + 1.0) - gammaln(c) - (c + js) * logx
-    logr, sign_r = _log_abs_rgamma(b - a * (c + js))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        env = np.exp(lg + logr)
-    env = np.where(sign_r == 0.0, 0.0, env)
-    if not np.all(np.isfinite(env)):
-        return 0.0, np.inf
-    terms = env * sign_r * np.where(js % 2 == 0, 1.0, -1.0)
-    nonzero = np.nonzero(env > 0.0)[0]
-    if nonzero.size == 0:
-        return 0.0, np.inf
-    j0 = int(nonzero[0])
-    # forward-fill zero entries (reciprocal-gamma poles) so the growth test
-    # sees the envelope of nonzero terms
-    idx = np.where(env > 0.0, np.arange(jmax), 0)
-    np.maximum.accumulate(idx, out=idx)
-    envf = env[idx]
-    grow = np.nonzero(envf[j0 + 1 :] > envf[j0:-1])[0]
-    j_stop = int(grow[0] + j0 + 1) if grow.size else jmax
-    value = float(np.sum(terms[:j_stop]))
-    rem = float(envf[min(j_stop, jmax - 1)])
-    rel = rem / abs(value) if value != 0.0 else np.inf
-    return value, rel
-
-
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _XI_LADDER = np.array(
     [1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2, 1, 2, 4, 8, 16, 32, 45.0]
-)
-_SPIKE_OFFSETS = np.array(
-    [-32, -16, -8, -4, -2, -1, -0.5, 0, 0.5, 1, 2, 4, 8, 16, 32], dtype=float
 )
 _HEAD_M = np.arange(48, dtype=float)
 
@@ -312,8 +254,12 @@ def _spectral_mixture(a, x, moment):
         head = (cheb * glow)[None, :] * x[:, None] ** (-_HEAD_M)[None, :]
     first = np.sum(head, axis=1)
 
-    # remaining panels: octave ladder plus mapped near-pole knots
-    spike_u = np.clip(cpsi + spsi * _SPIKE_OFFSETS, 0.0, None)
+    # remaining panels: octave ladder plus mapped near-pole knots, at
+    # u = cos(psi) and u = cos(psi) +- 2^k * sin(psi), graded out to the
+    # larger of 32 pole widths and a distance of 2
+    ks = np.arange(-1.0, math.floor(max(math.log2(2.0 / spsi), 5.0)) + 1.0)
+    offsets = np.concatenate([[0.0], 2.0 ** ks, -(2.0 ** ks)])
+    spike_u = np.clip(cpsi + spsi * offsets, 0.0, None)
     with np.errstate(over="ignore"):
         spike_xi = (spike_u[None, :] * x[:, None]) ** (1.0 / a)
     spike_xi = np.clip(spike_xi, xi1, _XI_LADDER[-1])
@@ -389,55 +335,19 @@ def _closed_form_a1(b, c, z):
     return hyp1f1(c, b, z) * rgamma(b)
 
 
-def _recurrence_steps(a, b):
-    """Number of upward recurrence steps from a spectral base shape (b=1 or
-    b=a) to b, or ``None`` when b is not reachable that way."""
-    for base in (1.0, a):
-        k = (b - base) / a
-        k_round = round(k)
-        if 1 <= k_round <= 8 and abs(k - k_round) < 1e-9:
-            return base, k_round
-    return None
-
-
-def _spectral_with_recurrence(a, base, steps, z):
-    """E_{a, base + steps*a}(z) from the spectral value at the base shape via
-    E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z; stable for large |z|."""
-    vals = _spectral(a, -z, 0.0 if base == 1.0 else 1.0)
-    b_cur = base
-    for _ in range(steps):
-        vals = (vals - rgamma(b_cur)) / z
-        b_cur += a
-    return vals
-
-
 def _eval_large_neg(a, b, c, z):
-    """Large-|z| cascade for a batch of strictly negative z (series already
-    rejected): the positive-integrand spectral family where the shape allows
-    it (directly at b=1 or b=a, or through the two-parameter recurrence),
-    then the self-certifying algebraic expansion, then the contour."""
+    """E_{a,b}^c at a batch of strictly negative z that the series rejects
+    or does not reach: the positive-integrand spectral quadrature for
+    ``c = 1`` with ``b = 1`` or ``b = a``, the parabolic contour for every
+    other shape.  Raises AccuracyError if the contour's conditioning
+    estimate exceeds its budget."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    pending = np.ones(z.shape, dtype=bool)
-    if c == 1.0:
-        if b in (1.0, a):
-            mask = z <= -0.6
-            out[mask] = _spectral(a, -z[mask], 0.0 if b == 1.0 else 1.0)
-            pending &= ~mask
-        else:
-            reduction = _recurrence_steps(a, b)
-            if reduction is not None:
-                base, steps = reduction
-                mask = z <= -2.0
-                out[mask] = _spectral_with_recurrence(a, base, steps, z[mask])
-                pending &= ~mask
-    for i in np.nonzero(pending)[0]:
-        val, rel = _asymptotic_sum(a, b, c, -z[i])
-        if rel <= _ASYMPTOTIC_RTOL:
-            out[i] = val
-            pending[i] = False
-    if np.any(pending):
-        rest = np.nonzero(pending)[0]
+    rest = np.ones(z.shape, dtype=bool)
+    if c == 1.0 and b in (1.0, a):
+        rest = z > -0.6
+        out[~rest] = _spectral(a, -z[~rest], 0.0 if b == 1.0 else 1.0)
+    if rest.any():
         vals, cond = _contour_sum(a, b, c, z[rest])
         if np.any(cond > 1e-9):
             worst = float(np.max(cond))
@@ -500,23 +410,31 @@ def prabhakar(a, b, c, z):
     Returns
     -------
     float or ndarray
-        ``E_{a,b}^c(z)`` to ~1e-10 relative accuracy or better.
+        ``E_{a,b}^c(z)`` to ~1e-10 relative accuracy or better: from the
+        audited power series where it certifies that, otherwise (z < 0) from
+        the spectral quadrature for ``E_a`` and ``E_{a,a}`` and from the
+        parabolic contour for every other shape.
 
     Raises
     ------
     DomainError
-        If a parameter is outside its domain or ``|z| > Z_MAX``.
+        If a parameter is outside its domain, or ``z`` is NaN or has
+        ``|z| > Z_MAX``.
     AccuracyError
         If no regime certifies the accuracy target, or two regimes disagree
         at a hand-off boundary.
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"order a must be in (0, 1], got {a}")
-    if b <= 0.0 or c <= 0.0:
-        raise DomainError(f"parameters b, c must be positive, got b={b}, c={c}")
+    if not (0.0 < b < math.inf and 0.0 < c < math.inf):
+        raise DomainError(
+            f"parameters b, c must be positive and finite, got b={b}, c={c}"
+        )
     z_arr = np.asarray(z, dtype=float)
-    if (np.abs(z_arr) > Z_MAX).any():
-        raise DomainError(f"|z| exceeds the overflow guard Z_MAX={Z_MAX:g}")
+    if not (np.abs(z_arr) <= Z_MAX).all():
+        raise DomainError(
+            f"z must be a number with |z| <= the overflow guard Z_MAX={Z_MAX:g}"
+        )
     scalar = z_arr.ndim == 0
     flat = z_arr.reshape(-1)
     if a == 1.0:
@@ -548,10 +466,10 @@ def ml_density(t, k: MLKernelParams):
     Raises
     ------
     DomainError
-        If any ``t <= 0``.
+        If any ``t`` is not > 0 (NaN included).
     """
     t_arr = np.asarray(t, dtype=float)
-    if (t_arr <= 0.0).any():
+    if not (t_arr > 0.0).all():
         raise DomainError("the kernel density is only defined for t > 0")
     if k.beta == 1.0:
         res = k.gamma * np.exp(-k.gamma * t_arr)
@@ -576,7 +494,7 @@ def ml_spectral(theta, beta):
             f"the spectral density requires beta in (0, 1), got {beta}"
         )
     th = np.asarray(theta, dtype=float)
-    if np.any(th <= 0.0):
+    if not np.all(th > 0.0):
         raise DomainError("theta must be positive")
     tb = th ** beta
     cpsi = math.cos((1.0 - beta) * math.pi)

@@ -91,6 +91,14 @@ class TestLambdaExact:
         with pytest.raises(DomainError):
             lambda_exact_half(1.0, ModelParams(1.0, 0.1, 0.9, 1.0))
 
+    @pytest.mark.parametrize(
+        "curve", [lambda_exact, lambda_exact_half, expected_n, expected_n_half]
+    )
+    @pytest.mark.parametrize("t", [-1.0, math.nan, np.array([1.0, math.nan])])
+    def test_rejects_time_outside_domain(self, curve, t):
+        with pytest.raises(DomainError):
+            curve(t, ModelParams(1.0, 0.1, 0.5, 1.0))
+
     def test_half_forms_agree(self):
         t = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 300)])
         for g in (0.1, 0.8, 1.7):

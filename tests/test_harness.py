@@ -171,9 +171,6 @@ class TestRunners:
             ExperimentConfig(params=P, times=(2.0, 1.0), replicas=10, seed=0)
         with pytest.raises(DomainError):
             ExperimentConfig(params=P, times=(1.0,), replicas=0, seed=0)
-        with pytest.raises(DomainError):
-            ExperimentConfig(params=P, times=(1.0,), replicas=10, seed=0,
-                             engines=("exp_hawkes",))
 
     def test_count_matrix_deterministic(self):
         a = count_matrix(P, (1.0, 5.0), 50, seed=7)

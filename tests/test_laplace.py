@@ -103,15 +103,13 @@ class TestIlt:
                 ilt(rough, 0.01, config)
 
     def test_fixed_offset_mode(self):
-        cfg = IltConfig(contour_offset=8.0, t_scale_mode="fixed")
+        cfg = IltConfig(contour_offset=8.0)
         res = ilt(LaplaceImage(lambda s: 1.0 / (s + 1.0), sigma0=-1.0), 1.0, cfg)
         assert res.value == pytest.approx(math.exp(-1.0), abs=1e-5)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             IltConfig(n_terms=7)
-        with pytest.raises(DomainError):
-            IltConfig(n_terms=10, t_scale_mode="fixed")
         with pytest.raises(DomainError):
             ilt(
                 LaplaceImage(lambda s: 1.0 / s),

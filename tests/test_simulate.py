@@ -280,7 +280,7 @@ class TestKernelMixture:
     def test_matches_ml_density(self):
         # the surrogate against the exact density on the certified lags, and
         # the mass it keeps on [0, H], at the certification budget
-        for beta in (0.3, 0.5, 0.7, 0.9, 0.99):
+        for beta in (0.3, 0.5, 0.7, 0.9, 0.99, 0.9999):
             for gamma in (0.1, 1.0, 1.7):
                 k = MLKernelParams(beta, gamma)
                 for horizon in (10.0, 1000.0):

@@ -4,6 +4,7 @@ density, spectral density, erfcx, and exact sampling.
 Frozen reference values were computed with the independent high-precision
 oracle in ``tests/oracle.py`` (adaptive-precision series plus branch-cut
 quadrature); regenerate the table with ``python3 tests/gen_fixtures.py``.
+The checks near ``beta = 1`` call the oracle directly.
 """
 
 import math
@@ -29,6 +30,7 @@ from fhawkes import (
 )
 from fhawkes import special
 from fhawkes.simulate import intensity, replica_stream, simulate_cluster
+from oracle import ml_density_oracle, prabhakar_oracle
 
 # oracle values, 20 significant digits
 ERFCX_1 = 0.42758357615580700441
@@ -72,6 +74,15 @@ class TestPrabhakar:
             prabhakar(0.5, 1.0, 0.0, -1.0)
         with pytest.raises(DomainError):
             prabhakar(0.5, 1.0, 1.0, -1e9)
+        for a, b, c, z in [
+            (math.nan, 1.0, 1.0, -1.0),
+            (0.5, math.nan, 1.0, -50.0),
+            (0.5, 1.0, math.nan, -1.0),
+            (0.5, 1.0, 1.0, math.nan),
+            (0.5, 1.0, 1.0, np.array([-1.0, math.nan])),
+        ]:
+            with pytest.raises(DomainError):
+                prabhakar(a, b, c, z)
 
     def test_series_overflow_is_accuracy_error(self):
         # E_{1/2}(z) ~ 2*exp(z**2) passes the double range just above 26.6;
@@ -86,6 +97,15 @@ class TestPrabhakar:
         vec = prabhakar(0.7, 1.0, 1.0, z)
         for zi, vi in zip(z, vec):
             assert vi == prabhakar(0.7, 1.0, 1.0, float(zi))
+
+    @pytest.mark.parametrize("beta", [0.99, 0.999])
+    def test_expected_count_shape_vs_oracle(self, beta):
+        # E_{beta,2} where the series is rejected and the contour serves
+        for z in (-27.0, -25.5, -24.0, -23.0):
+            ref = float(prabhakar_oracle(beta, 2.0, 1.0, z))
+            assert prabhakar(beta, 2.0, 1.0, z) == pytest.approx(
+                ref, rel=1e-12, abs=0.0
+            ), z
 
     @pytest.mark.parametrize("a", [0.3, 0.5, 0.9])
     def test_two_parameter_recurrence(self, a):
@@ -224,8 +244,19 @@ class TestMlDensity:
         assert got == pytest.approx(10.0 * E_055_M01, rel=1e-11)
 
     def test_rejects_nonpositive_time(self):
-        with pytest.raises(DomainError):
-            ml_density(0.0, MLKernelParams(0.5, 1.0))
+        for t in (0.0, math.nan):
+            for beta in (0.5, 1.0):
+                with pytest.raises(DomainError):
+                    ml_density(t, MLKernelParams(beta, 1.0))
+
+    @pytest.mark.parametrize("beta", [0.999, 0.9999])
+    def test_near_exponential_vs_oracle(self, beta):
+        # the spectral quadrature resolves the mixing density's pole, whose
+        # width sin((1-beta)*pi) shrinks as beta -> 1
+        k = MLKernelParams(beta, 1.0)
+        for t in (0.05, 0.5, 2.0, 4.5, 8.0, 20.0, 100.0, 1e3, 1e4):
+            ref = float(ml_density_oracle(t, beta, 1.0))
+            assert ml_density(t, k) == pytest.approx(ref, rel=1e-12, abs=0.0), t
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9, 0.99])
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 1.7])
@@ -283,6 +314,11 @@ class TestSpectral:
     def test_rejects_beta_one(self):
         with pytest.raises(DomainError):
             ml_spectral(1.0, 1.0)
+
+    def test_rejects_theta_outside_domain(self):
+        for theta in (0.0, math.nan):
+            with pytest.raises(DomainError):
+                ml_spectral(theta, 0.5)
 
     def test_left_tail_integrable(self):
         # theta^(beta-1) divergence at 0 is integrable
