@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .laplace import IltConfig, LaplaceImage, ilt_grid
-from .special import MLKernelParams, erfcx, ml_one, prabhakar
+from .special import MLKernelParams, _float_fields, erfcx, ml_one, prabhakar
 
 __all__ = [
     "CurveSample",
@@ -49,6 +49,7 @@ class ModelParams:
     gamma: float
 
     def __post_init__(self):
+        _float_fields(self)
         if not 0.0 < self.lambda0 < math.inf:
             raise DomainError(
                 f"lambda0 must be positive and finite, got {self.lambda0}"

@@ -132,8 +132,16 @@ def count_matrix(
     """(replicas x len(times)) matrix of counts N(t), one simulated path per
     row, all counted from the same path.  Row ``r`` is the path of replica
     ``r``, as the engine's ``simulate_*`` function draws it; the thinning
-    kernel is built and certified once for all rows."""
+    kernel is built and certified once for all rows.
+
+    Raises
+    ------
+    DomainError
+        If ``times`` is empty or ``replicas`` is negative.
+    """
     times = np.asarray(times, dtype=float)
+    if not (times.size > 0 and replicas >= 0):
+        raise DomainError("count_matrix needs at least one time and replicas >= 0")
     draw = _sampler(engine, p, float(times.max()))
     out = np.empty((replicas, times.size), dtype=np.int64)
     for r in range(replicas):
@@ -199,12 +207,6 @@ def poisson_reference_pmf(rate_times_t: float, kmax: int) -> dict[int, float]:
     return dict(zip(ks.tolist(), poisson.pmf(ks, rate_times_t).tolist()))
 
 
-def empirical_pmf(values: np.ndarray) -> dict[int, float]:
-    ks, freqs = np.unique(values, return_counts=True)
-    n = values.size
-    return {int(k): f / n for k, f in zip(ks, freqs)}
-
-
 def run_distribution(cfg: ExperimentConfig) -> list[CountDistribution]:
     """Empirical pmf of N(t) over thinning paths at each requested time,
     with the requested reference attached (Poisson with mean lambda0*t, or
@@ -228,7 +230,10 @@ def run_distribution(cfg: ExperimentConfig) -> list[CountDistribution]:
                 poisson_reference_pmf(cfg.params.lambda0 * t, int(col.max()) + 10),
             )
         elif "exp-hawkes" in cfg.comparisons:
-            reference = ("exp_hawkes_empirical", empirical_pmf(ref_counts[:, j]))
+            reference = (
+                "exp_hawkes_empirical",
+                CountDistribution.from_counts(ref_counts[:, j], t, cfg.params).pmf(),
+            )
         dist = CountDistribution.from_counts(
             col, t, cfg.params, reference=reference
         )

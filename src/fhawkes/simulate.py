@@ -56,9 +56,14 @@ _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(8)
 
 
 def replica_stream(seed: int, engine: str, replica: int = 0) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, engine, replica)."""
+    """Counter-based stream keyed by (seed, engine, replica); seed and
+    replica must be nonnegative integers."""
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
+    if not (int(seed) >= 0 and int(replica) >= 0):
+        raise DomainError(
+            f"seed and replica must be nonnegative, got {seed} and {replica}"
+        )
     key = np.random.SeedSequence((int(seed), ENGINES.index(engine), int(replica)))
     return np.random.Generator(np.random.Philox(key))
 

@@ -25,7 +25,7 @@ conditioning exceeds its budget, raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erfcx as _erfcx_impl
@@ -59,6 +59,17 @@ _BAND_LO, _BAND_HI = -6.0, -4.0
 _EPS = np.finfo(float).eps
 
 
+def _float_fields(params) -> None:
+    """Store every field of a frozen parameter dataclass as a float, so
+    integer inputs cannot leak integer arrays into the numerics."""
+    for f in fields(params):
+        try:
+            value = float(getattr(params, f.name))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{f.name} must be a real number") from exc
+        object.__setattr__(params, f.name, value)
+
+
 @dataclass(frozen=True)
 class MLKernelParams:
     """Tail exponent and time scale of the Mittag-Leffler kernel density.
@@ -72,6 +83,7 @@ class MLKernelParams:
     gamma: float = 1.0
 
     def __post_init__(self):
+        _float_fields(self)
         if not 0.0 < self.beta <= 1.0:
             raise DomainError(f"beta must be in (0, 1], got {self.beta}")
         if not 0.0 < self.gamma < math.inf:
@@ -513,7 +525,14 @@ def ml_sample(rng, k: MLKernelParams, size=None):
     uniform; the mixture factor is evaluated in the equivalent stable form
     ``sin(beta*pi*(1-U)) / sin(beta*pi*U)``.  Degenerates to
     ``Exponential(gamma)`` at ``beta = 1``.
+
+    Raises
+    ------
+    DomainError
+        If ``size`` has a negative entry.
     """
+    if size is not None and not (np.asarray(size) >= 0).all():
+        raise DomainError(f"size must be nonnegative, got {size}")
     u = rng.uniform(np.nextafter(0.0, 1.0), 1.0, size)
     x = rng.standard_exponential(size)
     A = math.pi * k.beta

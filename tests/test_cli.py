@@ -127,6 +127,17 @@ class TestSimulateCmd:
         assert proc.returncode == 2
         assert "numerical failure" in proc.stderr
 
+    def test_negative_seed_is_numerical_failure(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fhawkes.cli", "simulate", *MODEL,
+             "--horizon", "10", "--seed", "-1", "--out", str(tmp_path / "ev.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "numerical failure" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestDistCmd:
     def test_poisson_compare(self, runner, tmp_path):

@@ -11,7 +11,6 @@ from fhawkes.harness import (
     CountDistribution,
     ExperimentConfig,
     count_matrix,
-    empirical_pmf,
     expected_n_ilt_curve,
     poisson_reference_pmf,
     run_distribution,
@@ -195,6 +194,12 @@ class TestRunners:
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], expected_n(times, p), rtol=1e-8)
 
-    def test_empirical_pmf(self):
-        pmf = empirical_pmf(np.array([1, 1, 2, 4]))
-        assert pmf == {1: 0.5, 2: 0.25, 4: 0.25}
+    def test_from_counts_pmf(self):
+        dist = CountDistribution.from_counts(np.array([1, 1, 2, 4]), 1.0, P)
+        assert dist.pmf() == {1: 0.5, 2: 0.25, 4: 0.25}
+
+    def test_count_matrix_rejects_empty_sizes(self):
+        with pytest.raises(DomainError):
+            count_matrix(P, [], 3, 1)
+        with pytest.raises(DomainError):
+            count_matrix(P, [1.0], -1, 1)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fhawkes import (
     ContourError,
@@ -82,8 +83,11 @@ class TestIlt:
         assert res.low_confidence
 
     def test_rejects_nonpositive_time(self):
-        with pytest.raises(DomainError):
-            ilt(LaplaceImage(lambda s: 1.0 / s), 0.0)
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                ilt(LaplaceImage(lambda s: 1.0 / s), t)
+            with pytest.raises(DomainError):
+                ilt_grid(LaplaceImage(lambda s: 1.0 / s), [1.0, t])
 
     def test_contour_error_on_nonfinite_image(self):
         def bad_fn(s):
@@ -133,8 +137,6 @@ class TestIlt:
 
 
 def _complex_forward(f, s):
-    from scipy.integrate import quad
-
     cut = 50.0 / max(s.real, 0.5)
     re, _ = quad(lambda t: f(t) * math.exp(-s.real * t), 0, cut,
                  weight="cos", wvar=s.imag, limit=300)
@@ -145,7 +147,7 @@ def _complex_forward(f, s):
 
 class TestForwardLt:
     def test_exponential(self):
-        assert forward_lt(lambda t: math.exp(-t), 1.0) == pytest.approx(0.5, abs=1e-9)
+        assert forward_lt(lambda t: np.exp(-t), 1.0) == pytest.approx(0.5, abs=1e-9)
 
     def test_kernel_density_transform(self):
         k = MLKernelParams(0.5, 1.0)
@@ -158,10 +160,43 @@ class TestForwardLt:
         ref = 1.7 / (1.7 + 2.0 ** 0.9)
         assert got == pytest.approx(ref, abs=1e-6)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.99])
+    @pytest.mark.parametrize("gamma", [0.1, 1.7])
+    @pytest.mark.parametrize("s", [0.1, 10.0])
+    def test_kernel_transform_vs_quadpack(self, beta, gamma, s):
+        # scalar QUADPACK reference in the same head/tail split
+        k = MLKernelParams(beta, gamma)
+        head, _ = quad(
+            lambda u: ml_density(u ** (1 / beta), k) * math.exp(-s * u ** (1 / beta))
+            * u ** (1 / beta - 1) / beta,
+            0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400,
+        )
+        tail, _ = quad(
+            lambda t: ml_density(t, k) * math.exp(-s * t),
+            1.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400,
+        )
+        got = forward_lt(lambda t: ml_density(t, k), s, singular_exponent=beta)
+        assert got == pytest.approx(head + tail, rel=0, abs=1e-9)
+
     def test_rejects_nonpositive_s(self):
-        with pytest.raises(DomainError):
-            forward_lt(lambda t: 1.0, 0.0)
+        for s in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                forward_lt(lambda t: np.ones_like(t), s)
+        for kw in ({"split": math.nan}, {"split": 0.0}, {"singular_exponent": 1.5}):
+            with pytest.raises(DomainError):
+                forward_lt(np.exp, 1.0, **kw)
 
     def test_quadrature_error_surfaces(self):
-        with pytest.raises(QuadratureError):
-            forward_lt(lambda t: math.sin(math.exp(t * 12.0)) * 1e6, 1e-4, limit=3)
+        with pytest.raises(QuadratureError, match="panels"):
+            forward_lt(lambda t: np.sin(np.exp(t * 12.0)) * 1e6, 1e-4, limit=3)
+
+    def test_nonfinite_integrand_raises_at_once(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.where(t > 0.5, np.nan, 1.0)
+
+        with pytest.raises(QuadratureError, match="not finite"):
+            forward_lt(f, 1.0)
+        assert calls == [21]

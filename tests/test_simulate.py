@@ -334,3 +334,26 @@ class TestFiniteInputs:
             MLKernelParams(0.5, math.inf)
         with pytest.raises(DomainError):
             intensity(math.nan, np.array([1.0]), P_WEAK)
+
+    def test_integer_parameters_at_beta_one(self):
+        p = ModelParams(1, 0.5, 1, 1)
+        assert all(type(v) is float for v in (p.lambda0, p.beta, p.gamma))
+        assert type(MLKernelParams(1, 2).gamma) is float
+        seq = simulate_exp_hawkes(1.0, 0.5, 1, 10.0, 1)
+        ref = simulate_exp_hawkes(1.0, 0.5, 1.0, 10.0, 1)
+        np.testing.assert_array_equal(seq.epochs, ref.epochs)
+        path = simulate_thinning(p, 10, 1)
+        np.testing.assert_array_equal(
+            path.epochs, simulate_thinning(ModelParams(1.0, 0.5, 1.0, 1.0), 10.0, 1).epochs
+        )
+        counts = count_matrix(p, [1.0, 10.0], 3, 1, "exp_hawkes")
+        assert counts.shape == (3, 2)
+        with pytest.raises(DomainError):
+            ModelParams(1.0, 0.1, "half", 1.0)
+
+    @pytest.mark.parametrize("seed,replica", [(-1, 0), (1, -1)])
+    def test_negative_seed_or_replica(self, seed, replica):
+        with pytest.raises(DomainError):
+            replica_stream(seed, "thinning", replica)
+        with pytest.raises(DomainError):
+            simulate_cluster(P_WEAK, 1.0, seed, replica)

@@ -374,3 +374,12 @@ class TestSampling:
         rng = replica_stream(14, "cluster", 0)
         draws = ml_sample(rng, MLKernelParams(0.3, 0.5), 10_000)
         assert np.all(draws > 0.0)
+
+    def test_sizes(self):
+        rng = replica_stream(15, "cluster", 0)
+        k = MLKernelParams(0.5, 1.0)
+        assert ml_sample(rng, k, 0).shape == (0,)
+        assert ml_sample(rng, k, (2, 3)).shape == (2, 3)
+        for size in (-1, (2, -3)):
+            with pytest.raises(DomainError):
+                ml_sample(rng, k, size)
