@@ -9,12 +9,15 @@ The library provides:
 * ``analytics`` — closed-form expected intensity and expected event counts;
 * ``simulate`` — thinning and branching-cluster samplers of the process,
   plus Poisson and exponential-kernel references;
-* ``harness`` — Monte Carlo experiment runners, emitters, and the
-  end-to-end validation suite behind ``fhawkes validate``.
+* ``harness`` — Monte Carlo experiment runners: count matrices, expected
+  counts and count distributions with their references;
+* ``io`` — the CSV tables of curves, distributions and events, and the
+  JSON validation report;
+* ``validation`` — the 12-criterion acceptance suite;
+* ``cli`` — the ``fhawkes`` command behind all of the above.
 """
 
 from .analytics import (
-    CurveSample,
     ModelParams,
     asymptote,
     expected_n,
@@ -32,7 +35,7 @@ from .errors import (
     FHawkesError,
     QuadratureError,
 )
-from .laplace import IltConfig, IltResult, LaplaceImage, forward_lt, ilt, ilt_grid
+from .laplace import IltResult, LaplaceImage, forward_lt, ilt, ilt_grid
 from .simulate import (
     EventSequence,
     intensity,

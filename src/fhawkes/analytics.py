@@ -15,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .laplace import IltConfig, LaplaceImage, ilt_grid
+from .laplace import LaplaceImage
 from .special import MLKernelParams, _float_fields, erfcx, ml_one, prabhakar
 
 __all__ = [
-    "CurveSample",
     "ModelParams",
     "asymptote",
     "expected_n",
     "expected_n_half",
-    "lambda_curve",
     "lambda_exact",
     "lambda_exact_half",
     "lambda_image",
@@ -65,28 +63,6 @@ class ModelParams:
         return MLKernelParams(self.beta, self.gamma)
 
 
-@dataclass
-class CurveSample:
-    """A sampled curve: grid, values, and the method that produced them."""
-
-    t: np.ndarray
-    value: np.ndarray
-    method: str
-    error_estimate: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.value = np.asarray(self.value, dtype=float)
-        if self.method not in ("exact", "ilt", "montecarlo"):
-            raise DomainError(f"unknown curve method {self.method!r}")
-        if self.t.ndim != 1 or np.any(np.diff(self.t) <= 0.0):
-            raise DomainError("curve grid must be strictly increasing")
-        if not np.all(np.isfinite(self.value)):
-            raise DomainError("curve values must be finite")
-        if self.error_estimate is not None:
-            self.error_estimate = np.asarray(self.error_estimate, dtype=float)
-
-
 def _times(t, quantity):
     """``t`` as a float array; raises DomainError unless every time is
     ``>= 0`` (so NaN is rejected too)."""
@@ -108,7 +84,7 @@ def lambda_image(p: ModelParams) -> LaplaceImage:
         sb = s ** be
         return (lam0 / s) * (ga + sb) / ((1.0 - al) * ga + sb)
 
-    return LaplaceImage(fn, sigma0=0.0, note="expected-intensity image")
+    return LaplaceImage(fn, sigma0=0.0)
 
 
 def asymptote(p: ModelParams) -> float:
@@ -176,16 +152,3 @@ def expected_n(t, p: ModelParams):
     res = (p.lambda0 / (1.0 - p.alpha)) * t_arr * (1.0 - p.alpha * e)
     return float(res) if t_arr.ndim == 0 else res
 
-
-def lambda_curve(
-    p: ModelParams, t, method: str = "exact", cfg: IltConfig | None = None
-) -> CurveSample:
-    """Expected-intensity curve on a grid, by the exact formula or by
-    numerical inversion of the Laplace image."""
-    t = np.asarray(t, dtype=float)
-    if method == "exact":
-        return CurveSample(t, lambda_exact(t, p), "exact")
-    if method == "ilt":
-        values, errors = ilt_grid(lambda_image(p), t, cfg)
-        return CurveSample(t, values, "ilt", error_estimate=errors)
-    raise DomainError(f"unknown method {method!r}")

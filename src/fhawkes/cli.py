@@ -26,6 +26,7 @@ from .simulate import _sampler
 from .validation import run_validation
 
 _MODEL_FLAGS = ("lambda0", "alpha", "beta", "gamma")
+_COUNT = click.IntRange(min=1)
 
 
 def _model_options(fn):
@@ -61,7 +62,7 @@ def cli():
 @cli.command(name="lambda")
 @_model_options
 @click.option("--t-max", type=float, default=50.0, show_default=True)
-@click.option("--grid", type=int, default=500, show_default=True)
+@click.option("--grid", type=_COUNT, default=500, show_default=True)
 @click.option(
     "--method",
     type=click.Choice(["exact", "ilt", "both"]),
@@ -85,14 +86,14 @@ def lambda_cmd(config, lambda0, alpha, beta, gamma, t_max, grid, method, out):
 @cli.command(name="expected-n")
 @_model_options
 @click.option("--t-max", type=float, default=10.0, show_default=True)
-@click.option("--grid", type=int, default=10, show_default=True)
+@click.option("--grid", type=_COUNT, default=10, show_default=True)
 @click.option(
     "--method",
     type=click.Choice(["exact", "ilt", "mc", "all"]),
     default="exact",
     show_default=True,
 )
-@click.option("--replicas", type=int, default=10_000, show_default=True)
+@click.option("--replicas", type=_COUNT, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def expected_n_cmd(
@@ -129,7 +130,7 @@ def expected_n_cmd(
 @cli.command(name="simulate")
 @_model_options
 @click.option("--horizon", type=float, default=10.0, show_default=True)
-@click.option("--replicas", type=int, default=1, show_default=True)
+@click.option("--replicas", type=_COUNT, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--engine",
@@ -154,7 +155,7 @@ def simulate_cmd(
 @_model_options
 @click.option("--t", "times", type=str, required=True,
               help="Comma-separated observation times.")
-@click.option("--replicas", type=int, default=10_000, show_default=True)
+@click.option("--replicas", type=_COUNT, default=10_000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option(
     "--compare",

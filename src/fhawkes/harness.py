@@ -20,7 +20,7 @@ from scipy.stats import chisquare, poisson
 from .analytics import ModelParams, expected_n, lambda_image
 from .errors import DomainError
 from .io import write_curves_csv, write_dist_csv
-from .laplace import IltConfig, LaplaceImage, ilt_grid
+from .laplace import LaplaceImage, ilt_grid
 from .simulate import _sampler
 
 __all__ = [
@@ -42,7 +42,6 @@ class CountDistribution:
     replicas: int
     params: ModelParams
     reference: tuple[str, dict[int, float]] | None = None
-    engine: str = "thinning"
 
     def __post_init__(self):
         if sum(self.counts.values()) != self.replicas:
@@ -58,10 +57,21 @@ class CountDistribution:
     def pmf(self) -> dict[int, float]:
         return {k: v / self.replicas for k, v in self.counts.items()}
 
+    def _reference_pmf(self, ref_pmf: dict[int, float] | None) -> dict[int, float]:
+        """The pmf passed in, else the attached reference's; raises
+        DomainError if there is neither."""
+        if ref_pmf is not None:
+            return ref_pmf
+        if self.reference is None:
+            raise DomainError("no reference pmf passed or attached")
+        return self.reference[1]
+
     def tv_distance(self, ref_pmf: dict[int, float] | None = None) -> float:
         """Total-variation distance to the reference (half the l1 distance,
-        including reference mass outside the empirical support)."""
-        ref = ref_pmf if ref_pmf is not None else self.reference[1]
+        including reference mass outside the empirical support).
+
+        Raises DomainError if no reference is passed or attached."""
+        ref = self._reference_pmf(ref_pmf)
         p_hat = self.pmf()
         support = set(p_hat) | set(ref)
         l1 = sum(abs(p_hat.get(k, 0.0) - ref.get(k, 0.0)) for k in support)
@@ -73,8 +83,11 @@ class CountDistribution:
         """Goodness-of-fit statistic and p-value against the reference pmf,
         merging adjacent cells until each expected count reaches
         ``min_expected``; the tail beyond the empirical support forms the
-        last cell."""
-        ref = ref_pmf if ref_pmf is not None else self.reference[1]
+        last cell.
+
+        Raises DomainError if no reference is passed or attached, or fewer
+        than two cells remain."""
+        ref = self._reference_pmf(ref_pmf)
         kmax = max(max(self.counts), max(ref))
         obs = np.array([self.counts.get(k, 0) for k in range(kmax + 1)], dtype=float)
         exp = np.array([ref.get(k, 0.0) for k in range(kmax + 1)]) * self.replicas
@@ -149,18 +162,16 @@ def count_matrix(
     return out
 
 
-def expected_n_ilt_curve(p: ModelParams, times, cfg: IltConfig | None = None):
+def expected_n_ilt_curve(p: ModelParams, times):
     """Expected count by numerical inversion of its Laplace image, the
     expected-intensity image divided by ``s``, at each requested time
     (exactly 0 at ``t = 0``)."""
     times = np.asarray(times, dtype=float)
     lam_img = lambda_image(p)
-    image = LaplaceImage(
-        lambda s: lam_img(s) / s, lam_img.sigma0, "expected-count image"
-    )
+    image = LaplaceImage(lambda s: lam_img(s) / s, lam_img.sigma0)
     out = np.zeros(times.shape)
     later = times != 0.0
-    out[later], _ = ilt_grid(image, times[later], cfg)
+    out[later], _ = ilt_grid(image, times[later])
     return out
 
 
@@ -171,8 +182,11 @@ def run_expected_n(cfg: ExperimentConfig) -> dict:
 
     Returns a dict with ``times``, ``mc_mean``, ``mc_se``, ``exact`` and
     (if requested via comparisons) ``ilt`` arrays, and writes the curve
-    table when ``output_path`` is set.
+    table when ``output_path`` is set.  Raises DomainError for fewer than
+    two replicas, which leave the standard error undefined.
     """
+    if cfg.replicas < 2:
+        raise DomainError("the standard error needs at least 2 replicas")
     times = np.asarray(cfg.times, dtype=float)
     counts = count_matrix(cfg.params, times, cfg.replicas, cfg.seed)
     mc_mean = counts.mean(axis=0)

@@ -21,9 +21,8 @@ insensitive to execution order.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +52,8 @@ _RATE_MAX = 40.0 / _LAG_MIN
 # Composite Gauss-Legendre rule in log-rate: panel width and nodes.
 _PANEL = 1.5
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(8)
+_INT64_MAX = np.iinfo(np.int64).max
+_POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
 
 
 def replica_stream(seed: int, engine: str, replica: int = 0) -> np.random.Generator:
@@ -71,6 +72,16 @@ def replica_stream(seed: int, engine: str, replica: int = 0) -> np.random.Genera
 def _check_horizon(horizon: float) -> None:
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
+
+
+def _check_poisson_mean(mean: float) -> None:
+    """numpy's Poisson sampler cannot draw a mean above int64 max minus ten
+    of its square roots (about 9.2e18)."""
+    if not mean <= _POISSON_MEAN_MAX:
+        raise DomainError(
+            f"lambda0 * horizon = {mean:g} exceeds the largest Poisson mean "
+            f"{_POISSON_MEAN_MAX:.4g}"
+        )
 
 
 @dataclass(frozen=True)
@@ -102,25 +113,6 @@ class EventSequence:
     def count_at(self, t: float) -> int:
         """Number of events with epoch <= t."""
         return int(np.searchsorted(self.epochs, t, side="right"))
-
-    def to_json(self) -> str:
-        payload = {
-            "engine": self.engine,
-            "seed": self.seed,
-            "replica": self.replica,
-            "horizon": self.horizon,
-            "params": None if self.params is None else asdict(self.params),
-            "epochs": self.epochs.tolist(),
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EventSequence":
-        d = json.loads(text)
-        params = None if d["params"] is None else ModelParams(**d["params"])
-        return cls(
-            d["epochs"], d["horizon"], d["seed"], d["engine"], d["replica"], params
-        )
 
 
 def intensity(t: float, history, p: ModelParams) -> float:
@@ -292,14 +284,18 @@ def simulate_cluster(
     kernel law.  Offspring beyond the horizon are discarded together with
     their descendants, which cannot precede them.  A child whose delay is
     below one ulp of its parent's epoch moves to the next float after the
-    epoch before it.
+    epoch before it.  Raises DomainError if ``lambda0 * horizon`` exceeds
+    about 9.2e18, and BudgetError once the events pass ``max_events``.
     """
     _check_horizon(horizon)
+    _check_poisson_mean(p.lambda0 * horizon)
     if p.alpha >= 1.0:
         raise DomainError("subcritical branching requires alpha < 1")
     rng = replica_stream(seed, "cluster", replica)
     kernel = p.kernel()
     n_imm = rng.poisson(p.lambda0 * horizon)
+    if n_imm > max_events:
+        raise BudgetError(f"cluster engine exceeded {max_events} events")
     generation = np.sort(rng.uniform(0.0, horizon, n_imm))
     collected = [generation]
     total = generation.size
@@ -344,9 +340,11 @@ def simulate_exp_hawkes(
 def simulate_poisson(
     lambda0: float, horizon: float, seed: int, replica: int = 0
 ) -> EventSequence:
-    """Homogeneous Poisson(lambda0) reference stream on ``(0, horizon]``."""
+    """Homogeneous Poisson(lambda0) reference stream on ``(0, horizon]``;
+    raises DomainError if ``lambda0 * horizon`` exceeds about 9.2e18."""
     _check_horizon(horizon)
     params = ModelParams(lambda0, 0.0, 1.0, 1.0)
+    _check_poisson_mean(lambda0 * horizon)
     rng = replica_stream(seed, "poisson", replica)
     n = rng.poisson(lambda0 * horizon)
     epochs = np.sort(rng.uniform(0.0, horizon, n))

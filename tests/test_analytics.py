@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from fhawkes import (
-    CurveSample,
     DomainError,
     ModelParams,
     asymptote,
@@ -20,7 +19,6 @@ from fhawkes import (
     lambda_exact_half,
     lambda_image,
 )
-from fhawkes.analytics import lambda_curve
 
 # frozen oracle values
 LAMBDA_HALF_T1 = 1.0104412671634487  # lambda0=1, alpha=0.1, gamma=0.1, t=1
@@ -188,21 +186,3 @@ class TestExpectedN:
         assert np.all(v >= 0.0)
         assert np.all(np.diff(v) > 0.0)
 
-
-class TestCurveSample:
-    def test_grid_must_increase(self):
-        with pytest.raises(DomainError):
-            CurveSample(np.array([1.0, 1.0]), np.array([1.0, 2.0]), "exact")
-
-    def test_method_checked(self):
-        with pytest.raises(DomainError):
-            CurveSample(np.array([1.0, 2.0]), np.array([1.0, 2.0]), "guess")
-
-    def test_lambda_curve_methods(self):
-        p = ModelParams(1.0, 0.1, 0.5, 0.8)
-        t = np.linspace(0.5, 5.0, 10)
-        exact = lambda_curve(p, t, "exact")
-        num = lambda_curve(p, t, "ilt")
-        assert exact.method == "exact" and num.method == "ilt"
-        assert num.error_estimate is not None
-        np.testing.assert_allclose(num.value, exact.value, rtol=1e-5)

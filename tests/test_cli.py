@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fhawkes.cli import cli
+from fhawkes.cli import cli, main
 from fhawkes.io import read_curves_csv, read_dist_csv, read_events_csv
 
 MODEL = ["--lambda0", "1.0", "--alpha", "0.1", "--beta", "0.5", "--gamma", "0.8"]
@@ -18,6 +18,42 @@ MODEL = ["--lambda0", "1.0", "--alpha", "0.1", "--beta", "0.5", "--gamma", "0.8"
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def _exit_code(monkeypatch, capsys, *args):
+    """Exit code and stderr of ``fhawkes ARGS`` run in-process through
+    ``main``, for a command that is expected to fail."""
+    monkeypatch.setattr(sys, "argv", ["fhawkes", *args])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    return exc.value.code, capsys.readouterr().err
+
+
+class TestCountFlags:
+    def test_negative_grid_is_usage_error(self, monkeypatch, capsys, tmp_path):
+        code, err = _exit_code(
+            monkeypatch, capsys, "lambda", *MODEL, "--grid", "-5",
+            "--out", str(tmp_path / "lam.csv"),
+        )
+        assert code == 1
+        assert "--grid" in err
+
+    def test_negative_replicas_is_usage_error(self, monkeypatch, capsys, tmp_path):
+        code, err = _exit_code(
+            monkeypatch, capsys, "simulate", *MODEL, "--replicas", "-3",
+            "--out", str(tmp_path / "ev.csv"),
+        )
+        assert code == 1
+        assert "--replicas" in err
+        assert not (tmp_path / "ev.csv").exists()
+
+    def test_one_replica_has_no_standard_error(self, monkeypatch, capsys, tmp_path):
+        code, err = _exit_code(
+            monkeypatch, capsys, "expected-n", *MODEL, "--method", "mc",
+            "--replicas", "1", "--out", str(tmp_path / "en.csv"),
+        )
+        assert code == 2
+        assert "numerical failure" in err and "2 replicas" in err
 
 
 class TestLambdaCmd:
@@ -137,6 +173,16 @@ class TestSimulateCmd:
         assert proc.returncode == 2
         assert "numerical failure" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_huge_poisson_mean_is_numerical_failure(self, monkeypatch, capsys,
+                                                    tmp_path):
+        code, err = _exit_code(
+            monkeypatch, capsys, "simulate", "--lambda0", "1e19", "--alpha",
+            "0.1", "--beta", "0.5", "--gamma", "0.8", "--engine", "cluster",
+            "--out", str(tmp_path / "ev.csv"),
+        )
+        assert code == 2
+        assert "numerical failure" in err and "Poisson mean" in err
 
 
 class TestDistCmd:

@@ -83,6 +83,13 @@ class TestCountDistribution:
         d = CountDistribution(1.0, {0: 50, 1: 50}, 100, P)
         assert d.tv_distance({0: 0.5, 1: 0.5}) == pytest.approx(0.0)
 
+    def test_no_reference_is_domain_error(self):
+        d = CountDistribution(1.0, {0: 50, 1: 50}, 100, P)
+        with pytest.raises(DomainError, match="reference"):
+            d.tv_distance()
+        with pytest.raises(DomainError, match="reference"):
+            d.chi_square()
+
     def test_tv_distance_disjoint_is_one(self):
         d = CountDistribution(1.0, {0: 100}, 100, P)
         assert d.tv_distance({5: 1.0}) == pytest.approx(1.0)

@@ -12,7 +12,6 @@ from fhawkes import (
     ContourError,
     ConvergenceWarning,
     DomainError,
-    IltConfig,
     LaplaceImage,
     MLKernelParams,
     QuadratureError,
@@ -76,11 +75,6 @@ class TestIlt:
     def test_error_estimate_reported(self):
         res = ilt(LaplaceImage(lambda s: 1.0 / s), 2.0)
         assert res.error_estimate >= 0.0
-        assert not res.low_confidence
-
-    def test_low_confidence_flag(self):
-        res = ilt(LaplaceImage(lambda s: 1.0 / s), 5e-4)
-        assert res.low_confidence
 
     def test_rejects_nonpositive_time(self):
         for t in (0.0, -1.0, math.nan, math.inf):
@@ -98,28 +92,13 @@ class TestIlt:
             ilt(LaplaceImage(bad_fn), 1.0)
 
     def test_convergence_warning_on_hard_image(self):
-        # an image violating the decay assumptions triggers the doubling check
-        rough = LaplaceImage(lambda s: np.exp(0.5 / s) / s)
+        # a delayed step, whose image does not decay along the contour,
+        # moves under node doubling by 1.2e-3 relative at t = 1
+        rough = LaplaceImage(lambda s: np.exp(-s) / s)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
-            config = IltConfig(n_terms=16, euler_terms=4, target_tol=1e-12)
             with pytest.raises(ConvergenceWarning):
-                ilt(rough, 0.01, config)
-
-    def test_fixed_offset_mode(self):
-        cfg = IltConfig(contour_offset=8.0)
-        res = ilt(LaplaceImage(lambda s: 1.0 / (s + 1.0), sigma0=-1.0), 1.0, cfg)
-        assert res.value == pytest.approx(math.exp(-1.0), abs=1e-5)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            IltConfig(n_terms=7)
-        with pytest.raises(DomainError):
-            ilt(
-                LaplaceImage(lambda s: 1.0 / s),
-                1.0,
-                IltConfig(contour_offset=-1.0),
-            )
+                ilt(rough, 1.0)
 
     def test_round_trip_through_forward(self):
         # smooth bounded original: numerical forward transform, numerically
@@ -130,8 +109,11 @@ class TestIlt:
             return np.array([_complex_forward(f, complex(si)) for si in np.atleast_1d(s)])
 
         ts = np.linspace(0.5, 10.0, 5)
-        cfg = IltConfig(n_terms=64, euler_terms=16)
-        vals, _ = ilt_grid(LaplaceImage(image), ts, cfg)
+        # node doubling moves some values by up to ~6e-5 relative, which
+        # warns; the 1e-3 bound below is the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            vals, _ = ilt_grid(LaplaceImage(image), ts)
         ref = f(ts)
         assert np.max(np.abs(vals - ref) / ref) < 1e-3
 
@@ -182,13 +164,13 @@ class TestForwardLt:
         for s in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 forward_lt(lambda t: np.ones_like(t), s)
-        for kw in ({"split": math.nan}, {"split": 0.0}, {"singular_exponent": 1.5}):
+        for p in (0.0, math.nan, 1.5):
             with pytest.raises(DomainError):
-                forward_lt(np.exp, 1.0, **kw)
+                forward_lt(np.exp, 1.0, singular_exponent=p)
 
     def test_quadrature_error_surfaces(self):
         with pytest.raises(QuadratureError, match="panels"):
-            forward_lt(lambda t: np.sin(np.exp(t * 12.0)) * 1e6, 1e-4, limit=3)
+            forward_lt(lambda t: np.sin(np.exp(t * 12.0)) * 1e6, 1e-4)
 
     def test_nonfinite_integrand_raises_at_once(self):
         calls = []
