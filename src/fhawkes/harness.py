@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chisquare, poisson
+from scipy.special import chdtrc, gammaln, xlogy
 
 from .analytics import ModelParams, expected_n, lambda_image
 from .errors import DomainError
@@ -33,6 +33,14 @@ __all__ = [
 ]
 
 
+def _pearson(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float]:
+    """Pearson's statistic ``sum((obs - exp)**2 / exp)`` over the cells and
+    its upper-tail chi-square p-value with ``cells - 1`` degrees of freedom;
+    ``exp`` must sum to the observed total."""
+    stat = np.sum((obs - exp) ** 2 / exp)
+    return float(stat), float(chdtrc(obs.size - 1, stat))
+
+
 @dataclass
 class CountDistribution:
     """Empirical histogram of the event count at a fixed observation time."""
@@ -44,6 +52,8 @@ class CountDistribution:
     reference: tuple[str, dict[int, float]] | None = None
 
     def __post_init__(self):
+        if self.replicas < 1:
+            raise DomainError("a count distribution needs replicas >= 1")
         if sum(self.counts.values()) != self.replicas:
             raise DomainError("histogram frequencies must sum to the replica count")
 
@@ -80,15 +90,18 @@ class CountDistribution:
 
     def chi_square(self, ref_pmf: dict[int, float] | None = None,
                    min_expected: float = 5.0):
-        """Goodness-of-fit statistic and p-value against the reference pmf,
-        merging adjacent cells until each expected count reaches
-        ``min_expected``; the tail beyond the empirical support forms the
-        last cell.
+        """Pearson's chi-square goodness of fit against the reference pmf:
+        ``(stat, pvalue, dof)`` with ``stat = sum((o - e)**2 / e)`` over the
+        cells and ``pvalue = chdtrc(dof, stat)``, the upper tail of the
+        chi-square law with ``dof`` = cells - 1.  Adjacent cells merge until
+        each expected count reaches ``min_expected``; the tail beyond the
+        empirical support forms the last cell, and the expected counts are
+        scaled to the observed total.
 
         Raises DomainError if no reference is passed or attached, or fewer
         than two cells remain."""
         ref = self._reference_pmf(ref_pmf)
-        kmax = max(max(self.counts), max(ref))
+        kmax = max(max(self.counts), max(ref, default=0))
         obs = np.array([self.counts.get(k, 0) for k in range(kmax + 1)], dtype=float)
         exp = np.array([ref.get(k, 0.0) for k in range(kmax + 1)]) * self.replicas
         tail = max(0.0, self.replicas - exp.sum())
@@ -113,8 +126,8 @@ class CountDistribution:
             raise DomainError("chi-square needs at least two merged cells")
         obs_m = np.asarray(obs_m)
         exp_m = np.asarray(exp_m) * obs_m.sum() / np.sum(exp_m)
-        stat, pvalue = chisquare(obs_m, exp_m)
-        return float(stat), float(pvalue), len(obs_m) - 1
+        stat, pvalue = _pearson(obs_m, exp_m)
+        return stat, pvalue, len(obs_m) - 1
 
 
 @dataclass
@@ -216,9 +229,18 @@ def run_expected_n(cfg: ExperimentConfig) -> dict:
 
 
 def poisson_reference_pmf(rate_times_t: float, kmax: int) -> dict[int, float]:
-    """Poisson pmf on 0..kmax (tail mass handled by the comparison code)."""
+    """Poisson pmf ``exp(k*log(mu) - log(k!) - mu)`` on ``k = 0..kmax``, with
+    ``0*log(0) = 0`` so that a zero mean puts all mass at 0 (the tail mass is
+    left to the comparison code).  Raises DomainError for a mean that is
+    negative or not finite, or for ``kmax < 0``."""
+    mu = float(rate_times_t)
+    if not (0.0 <= mu < math.inf and kmax >= 0):
+        raise DomainError(
+            f"Poisson pmf needs a finite mean >= 0 and kmax >= 0, got {mu} and {kmax}"
+        )
     ks = np.arange(kmax + 1)
-    return dict(zip(ks.tolist(), poisson.pmf(ks, rate_times_t).tolist()))
+    pmf = np.exp(xlogy(ks, mu) - gammaln(ks + 1) - mu)
+    return dict(zip(ks.tolist(), pmf.tolist()))
 
 
 def run_distribution(cfg: ExperimentConfig) -> list[CountDistribution]:

@@ -41,6 +41,7 @@ __all__ = [
 # an aliasing error ~exp(-_DECAY), and a warning when node doubling moves
 # the value by more than 10 * _TARGET_TOL, relative.
 _N_TERMS, _EULER_TERMS, _DECAY, _TARGET_TOL = 2000, 32, 24.0, 1e-6
+_EULER_WEIGHTS = comb(_EULER_TERMS, np.arange(_EULER_TERMS + 1)) * 0.5 ** _EULER_TERMS
 # The forward transform: tolerances and panel budget of each part.
 _EPSABS, _EPSREL, _LIMIT = 1e-10, 1e-10, 200
 
@@ -70,13 +71,11 @@ class IltResult(NamedTuple):
         return self.value
 
 
-def _euler_sum(terms, n, m):
+def _euler_sum(terms, n):
     """Partial sum of an alternating series with Euler averaging of the last
-    ``m`` partial sums ending at index ``n + m``."""
-    csum = np.cumsum(terms[: n + m])
-    partials = csum[n - 1 : n + m]
-    weights = comb(m, np.arange(m + 1)) * 0.5 ** m
-    return float(weights @ partials)
+    ``_EULER_TERMS + 1`` partial sums, ending at index ``n + _EULER_TERMS``."""
+    csum = np.cumsum(terms[: n + _EULER_TERMS])
+    return float(_EULER_WEIGHTS @ csum[n - 1 :])
 
 
 def ilt(image: LaplaceImage, t: float) -> IltResult:
@@ -97,8 +96,7 @@ def ilt(image: LaplaceImage, t: float) -> IltResult:
         raise DomainError("inversion requires a finite t > 0")
     offset = image.sigma0 + _DECAY / (2.0 * t)
 
-    n, m = _N_TERMS, _EULER_TERMS
-    k = np.arange(1, n + m + 1)
+    k = np.arange(1, _N_TERMS + _EULER_TERMS + 1)
     omega = (k - 0.5) * (math.pi / t)
     vals = np.asarray(image(offset + 1j * omega))
     if not np.all(np.isfinite(vals)):
@@ -108,8 +106,8 @@ def ilt(image: LaplaceImage, t: float) -> IltResult:
     # midpoint nodes make exp(i*omega*t) = i*(-1)^(k-1): alternating series
     terms = np.where(k % 2 == 1, -vals.imag, vals.imag)
     scale = math.exp(offset * t) / t
-    full = scale * _euler_sum(terms, n, m)
-    half = scale * _euler_sum(terms, n // 2, m)
+    full = scale * _euler_sum(terms, _N_TERMS)
+    half = scale * _euler_sum(terms, _N_TERMS // 2)
     est = abs(full - half)
     denom = max(abs(full), 1e-300)
     if est / denom > 10.0 * _TARGET_TOL:

@@ -233,9 +233,7 @@ def _sampler(engine: str, p: ModelParams, horizon: float):
     if engine == "cluster":
         return functools.partial(simulate_cluster, p, horizon)
     if engine == "poisson":
-        return lambda seed, replica=0: simulate_poisson(
-            p.lambda0, horizon, seed, replica
-        )
+        return functools.partial(simulate_poisson, p.lambda0, horizon)
     if engine == "exp_hawkes":
         p = replace(p, beta=1.0)
     elif engine != "thinning":
@@ -338,14 +336,21 @@ def simulate_exp_hawkes(
 
 
 def simulate_poisson(
-    lambda0: float, horizon: float, seed: int, replica: int = 0
+    lambda0: float,
+    horizon: float,
+    seed: int,
+    replica: int = 0,
+    max_events: int = DEFAULT_MAX_EVENTS,
 ) -> EventSequence:
     """Homogeneous Poisson(lambda0) reference stream on ``(0, horizon]``;
-    raises DomainError if ``lambda0 * horizon`` exceeds about 9.2e18."""
+    raises DomainError if ``lambda0 * horizon`` exceeds about 9.2e18, and
+    BudgetError if the drawn count passes ``max_events``."""
     _check_horizon(horizon)
     params = ModelParams(lambda0, 0.0, 1.0, 1.0)
     _check_poisson_mean(lambda0 * horizon)
     rng = replica_stream(seed, "poisson", replica)
     n = rng.poisson(lambda0 * horizon)
+    if n > max_events:
+        raise BudgetError(f"Poisson engine exceeded {max_events} events")
     epochs = np.sort(rng.uniform(0.0, horizon, n))
     return EventSequence(epochs, horizon, seed, "poisson", replica, params)

@@ -99,6 +99,24 @@ class TestCountDistribution:
         # reference puts half its mass beyond the listed support
         assert d.tv_distance({0: 0.5}) == pytest.approx(0.5)
 
+    def test_no_replicas_is_domain_error(self):
+        with pytest.raises(DomainError, match="replicas"):
+            CountDistribution(1.0, {}, 0, P)
+        with pytest.raises(DomainError, match="replicas"):
+            CountDistribution.from_counts(np.array([], dtype=int), 1.0, P)
+
+    def test_chi_square_empty_reference_is_domain_error(self):
+        d = CountDistribution(1.0, {0: 50, 1: 50}, 100, P)
+        with pytest.raises(DomainError, match="two merged cells"):
+            d.chi_square({})
+
+    @pytest.mark.parametrize(
+        "mean,kmax", [(-1.0, 5), (math.nan, 5), (math.inf, 5), (1.0, -1)]
+    )
+    def test_poisson_reference_rejects_bad_input(self, mean, kmax):
+        with pytest.raises(DomainError, match="Poisson pmf"):
+            poisson_reference_pmf(mean, kmax)
+
     def test_chi_square_calibration(self):
         # counts actually drawn from the reference law should not be rejected
         rng = np.random.default_rng(5)

@@ -363,6 +363,15 @@ class TestFiniteInputs:
         with pytest.raises(BudgetError):
             simulate_cluster(ModelParams(1e12, 0.1, 0.5, 1.0), 1.0, 1)
 
+    def test_poisson_budget_checked_before_epochs_drawn(self):
+        # the count is drawn first; 1e12 uniforms would need 7.3 TiB
+        with pytest.raises(BudgetError):
+            simulate_poisson(1e12, 1.0, 1)
+        with pytest.raises(BudgetError):
+            count_matrix(ModelParams(1e12, 0.1, 0.5, 1.0), [1.0], 1, 1, "poisson")
+        with pytest.raises(BudgetError):
+            simulate_poisson(1.0, 100.0, 1, max_events=10)
+
 
 # beta stops at 0.9999 (or is exactly 1): above 1 - 1e-10 the kernel density
 # raises AccuracyError, see test_kernel_density_just_below_beta_one
