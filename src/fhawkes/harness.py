@@ -33,12 +33,13 @@ __all__ = [
 ]
 
 
-def _pearson(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float]:
-    """Pearson's statistic ``sum((obs - exp)**2 / exp)`` over the cells and
-    its upper-tail chi-square p-value with ``cells - 1`` degrees of freedom;
+def _pearson(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float, int]:
+    """Pearson's statistic ``sum((obs - exp)**2 / exp)`` over the cells, its
+    upper-tail chi-square p-value and the degrees of freedom, ``cells - 1``;
     ``exp`` must sum to the observed total."""
+    dof = obs.size - 1
     stat = np.sum((obs - exp) ** 2 / exp)
-    return float(stat), float(chdtrc(obs.size - 1, stat))
+    return float(stat), float(chdtrc(dof, stat)), dof
 
 
 @dataclass
@@ -126,8 +127,7 @@ class CountDistribution:
             raise DomainError("chi-square needs at least two merged cells")
         obs_m = np.asarray(obs_m)
         exp_m = np.asarray(exp_m) * obs_m.sum() / np.sum(exp_m)
-        stat, pvalue = _pearson(obs_m, exp_m)
-        return stat, pvalue, len(obs_m) - 1
+        return _pearson(obs_m, exp_m)
 
 
 @dataclass

@@ -336,21 +336,17 @@ def simulate_exp_hawkes(
 
 
 def simulate_poisson(
-    lambda0: float,
-    horizon: float,
-    seed: int,
-    replica: int = 0,
-    max_events: int = DEFAULT_MAX_EVENTS,
+    lambda0: float, horizon: float, seed: int, replica: int = 0
 ) -> EventSequence:
     """Homogeneous Poisson(lambda0) reference stream on ``(0, horizon]``;
     raises DomainError if ``lambda0 * horizon`` exceeds about 9.2e18, and
-    BudgetError if the drawn count passes ``max_events``."""
+    BudgetError if the drawn count passes ``DEFAULT_MAX_EVENTS``."""
     _check_horizon(horizon)
     params = ModelParams(lambda0, 0.0, 1.0, 1.0)
     _check_poisson_mean(lambda0 * horizon)
     rng = replica_stream(seed, "poisson", replica)
     n = rng.poisson(lambda0 * horizon)
-    if n > max_events:
-        raise BudgetError(f"Poisson engine exceeded {max_events} events")
+    if n > DEFAULT_MAX_EVENTS:
+        raise BudgetError(f"Poisson engine exceeded {DEFAULT_MAX_EVENTS} events")
     epochs = np.sort(rng.uniform(0.0, horizon, n))
     return EventSequence(epochs, horizon, seed, "poisson", replica, params)

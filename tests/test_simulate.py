@@ -369,8 +369,6 @@ class TestFiniteInputs:
             simulate_poisson(1e12, 1.0, 1)
         with pytest.raises(BudgetError):
             count_matrix(ModelParams(1e12, 0.1, 0.5, 1.0), [1.0], 1, 1, "poisson")
-        with pytest.raises(BudgetError):
-            simulate_poisson(1.0, 100.0, 1, max_events=10)
 
 
 # beta stops at 0.9999 (or is exactly 1): above 1 - 1e-10 the kernel density
