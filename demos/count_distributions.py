@@ -8,61 +8,34 @@ simulation.  Two limits anchor them:
 * beta close to 1: the process is close to the exponential-kernel one.
 
 At strong excitation (alpha = 0.5) the Poisson picture breaks down, which
-the chi-square test makes quantitative.  Writes histogram tables to ``out/``.
+the chi-square test makes quantitative.  Prints the comparisons only;
+``fhawkes dist --compare ... --out table.csv`` writes a histogram table.
 """
 
-import pathlib
-
 from fhawkes import ModelParams
-from fhawkes.harness import ExperimentConfig, run_distribution
-
-OUT = pathlib.Path(__file__).resolve().parent / "out"
-OUT.mkdir(exist_ok=True)
+from fhawkes.harness import count_distributions
 
 REPLICAS = 2000
 TIMES = (1.0, 5.0, 10.0)
 
 print("weak excitation: total-variation distance to Poisson(lambda0*t)")
 for beta in (0.5, 0.9):
-    cfg = ExperimentConfig(
-        params=ModelParams(1.0, 0.01, beta, 1.0),
-        times=TIMES,
-        replicas=REPLICAS,
-        seed=616,
-        comparisons=("poisson",),
-        output_path=str(OUT / f"dist_poisson_beta{beta}.csv"),
-    )
-    for d in run_distribution(cfg):
-        print(f"  beta={beta}, t={d.t:4.1f}: TV = {d.tv_distance():.4f}")
+    p = ModelParams(1.0, 0.01, beta, 1.0)
+    for d, ref in count_distributions(p, TIMES, REPLICAS, 616, "poisson"):
+        print(f"  beta={beta}, t={d.t:4.1f}: TV = {d.tv_distance(ref):.4f}")
 
 print("\nnear-exponential kernel: TV distance to the exponential-kernel process")
 for alpha in (0.1, 0.5):
-    cfg = ExperimentConfig(
-        params=ModelParams(1.0, alpha, 0.99, 1.0),
-        times=TIMES,
-        replicas=REPLICAS,
-        seed=617,
-        comparisons=("exp-hawkes",),
-        output_path=str(OUT / f"dist_exp_alpha{alpha}.csv"),
-    )
-    for d in run_distribution(cfg):
-        print(f"  alpha={alpha}, t={d.t:4.1f}: TV = {d.tv_distance():.4f}")
+    p = ModelParams(1.0, alpha, 0.99, 1.0)
+    for d, ref in count_distributions(p, TIMES, REPLICAS, 617, "exp_hawkes"):
+        print(f"  alpha={alpha}, t={d.t:4.1f}: TV = {d.tv_distance(ref):.4f}")
 
 print("\nstrong excitation: chi-square against the Poisson reference")
 for beta in (0.5, 0.9):
-    cfg = ExperimentConfig(
-        params=ModelParams(1.0, 0.5, beta, 1.0),
-        times=(5.0, 10.0),
-        replicas=REPLICAS,
-        seed=618,
-        comparisons=("poisson",),
-        output_path=str(OUT / f"dist_strong_beta{beta}.csv"),
-    )
-    for d in run_distribution(cfg):
-        stat, pvalue, dof = d.chi_square()
+    p = ModelParams(1.0, 0.5, beta, 1.0)
+    for d, ref in count_distributions(p, (5.0, 10.0), REPLICAS, 618, "poisson"):
+        stat, pvalue, dof = d.chi_square(ref)
         print(
             f"  beta={beta}, t={d.t:4.1f}: chi2 = {stat:9.1f} on {dof} cells, "
             f"p = {pvalue:.2e}  -> Poisson rejected"
         )
-
-print(f"\nhistogram tables written to {OUT}")

@@ -9,8 +9,8 @@ The library provides:
 * ``analytics`` — closed-form expected intensity and expected event counts;
 * ``simulate`` — thinning and branching-cluster samplers of the process,
   plus Poisson and exponential-kernel references;
-* ``harness`` — Monte Carlo experiment runners: count matrices, expected
-  counts and count distributions with their references;
+* ``harness`` — Monte Carlo counting: count matrices, their means with
+  standard errors, and count distributions with their references;
 * ``io`` — the CSV tables of curves, distributions and events, and the
   JSON validation report;
 * ``validation`` — the 12-criterion acceptance suite;

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure,
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 
@@ -19,8 +20,13 @@ import numpy as np
 
 from .analytics import ModelParams, expected_n, lambda_exact, lambda_image
 from .errors import FHawkesError
-from .harness import ExperimentConfig, run_distribution, run_expected_n
-from .io import write_curves_csv, write_events_csv, write_report_json
+from .harness import (
+    count_distributions,
+    count_matrix,
+    expected_n_ilt_curve,
+    mean_and_se,
+)
+from .io import write_curves_csv, write_dist_csv, write_events_csv, write_report_json
 from .laplace import ilt_grid
 from .simulate import _sampler
 from .validation import run_validation
@@ -102,29 +108,20 @@ def expected_n_cmd(
     """Expected event count: closed form, numerical inversion, Monte Carlo."""
     p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
     times = np.linspace(0.0, t_max, grid + 1)[1:]
+    table = {"t": times}
     if method in ("mc", "all"):
-        comparisons = ("ilt",) if method == "all" else ()
-        cfg = ExperimentConfig(
-            params=p,
-            times=tuple(times),
-            replicas=replicas,
-            seed=seed,
-            comparisons=comparisons,
-            output_path=out,
+        table["mc_mean"], table["mc_se"] = mean_and_se(
+            count_matrix(p, times, replicas, seed)
         )
-        res = run_expected_n(cfg)
-        click.echo(
-            f"wrote {times.size} rows to {out} "
-            f"(max |mc-exact|/se = {np.max(np.abs(res['mc_mean']-res['exact'])/res['mc_se']):.2f})"
-        )
-        return
-    table = {"t": times, "exact": expected_n(times, p)}
-    if method == "ilt":
-        from .harness import expected_n_ilt_curve
-
+    table["exact"] = expected_n(times, p)
+    if method in ("ilt", "all"):
         table["ilt"] = expected_n_ilt_curve(p, times)
     write_curves_csv(out, table)
-    click.echo(f"wrote {times.size} rows to {out}")
+    line = f"wrote {times.size} rows to {out}"
+    if "mc_mean" in table:
+        dev = np.max(np.abs(table["mc_mean"] - table["exact"]) / table["mc_se"])
+        line += f" (max |mc-exact|/se = {dev:.2f})"
+    click.echo(line)
 
 
 @cli.command(name="simulate")
@@ -171,20 +168,20 @@ def dist_cmd(config, lambda0, alpha, beta, gamma, times, replicas, seed, compare
         ts = tuple(sorted(float(x) for x in times.split(",")))
     except ValueError as exc:
         raise click.UsageError(f"cannot parse --t {times!r}") from exc
-    comparisons = () if compare == "none" else (compare,)
-    cfg = ExperimentConfig(
-        params=p,
-        times=ts,
-        replicas=replicas,
-        seed=seed,
-        comparisons=comparisons,
-        output_path=out,
-    )
-    dists = run_distribution(cfg)
-    for d in dists:
+    reference = None if compare == "none" else compare.replace("-", "_")
+    label = "exp_hawkes_empirical" if reference == "exp_hawkes" else reference
+    lines, records = [], []
+    for d, ref in count_distributions(p, ts, replicas, seed, reference):
         line = f"t={d.t:g}: support 0..{max(d.counts)}"
-        if d.reference is not None:
-            line += f", TV vs {d.reference[0]} = {d.tv_distance():.4f}"
+        if ref is not None:
+            line += f", TV vs {label} = {d.tv_distance(ref):.4f}"
+        lines.append(line)
+        p_hat = d.pmf()
+        for k in sorted(set(p_hat) | set(ref or {})):
+            p_ref = math.nan if ref is None else ref.get(k, math.nan)
+            records.append((d.t, k, d.counts.get(k, 0), p_hat.get(k, 0.0), p_ref))
+    write_dist_csv(out, records)
+    for line in lines:
         click.echo(line)
     click.echo(f"wrote distribution table to {out}")
 

@@ -1,10 +1,10 @@
-"""Monte Carlo experiment runners: expected-count curves, count
-distributions with Poisson / exponential-kernel references, and the shared
-counting machinery.
+"""Monte Carlo counting: the count matrix, its column means with standard
+errors, and count distributions with their Poisson / exponential-kernel
+references, as the CLI, the demos and the validation criteria compare them.
 
 Replicas draw from independent streams keyed by ``(seed, engine, replica)``;
 aggregation is order-independent, so results are deterministic given the
-configuration.  Where two engines are compared, the same ``(seed, replica)``
+seed.  Where two engines are compared, the same ``(seed, replica)``
 indexing is used on both sides ("paired seeding"); the engine tag still
 separates the streams, keeping two-sample tests valid.
 """
@@ -17,20 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, gammaln, xlogy
 
-from .analytics import ModelParams, expected_n, lambda_image
+from .analytics import ModelParams, lambda_image
 from .errors import DomainError
-from .io import write_curves_csv, write_dist_csv
 from .laplace import LaplaceImage, ilt_grid
 from .simulate import _sampler
 
 __all__ = [
     "CountDistribution",
-    "ExperimentConfig",
+    "count_distributions",
     "count_matrix",
     "expected_n_ilt_curve",
-    "run_distribution",
-    "run_expected_n",
+    "mean_and_se",
 ]
+
+_MIN_EXPECTED = 5.0  # smallest expected count of a merged chi-square cell
 
 
 def _pearson(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float, int]:
@@ -49,8 +49,6 @@ class CountDistribution:
     t: float
     counts: dict[int, int]
     replicas: int
-    params: ModelParams
-    reference: tuple[str, dict[int, float]] | None = None
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -59,49 +57,34 @@ class CountDistribution:
             raise DomainError("histogram frequencies must sum to the replica count")
 
     @classmethod
-    def from_counts(cls, col: np.ndarray, t: float, params: ModelParams, **kw):
+    def from_counts(cls, col: np.ndarray, t: float):
         """Histogram of one count per replica."""
         ks, freqs = np.unique(col, return_counts=True)
         counts = dict(zip(ks.tolist(), freqs.tolist()))
-        return cls(float(t), counts, int(col.size), params, **kw)
+        return cls(float(t), counts, int(col.size))
 
     def pmf(self) -> dict[int, float]:
         return {k: v / self.replicas for k, v in self.counts.items()}
 
-    def _reference_pmf(self, ref_pmf: dict[int, float] | None) -> dict[int, float]:
-        """The pmf passed in, else the attached reference's; raises
-        DomainError if there is neither."""
-        if ref_pmf is not None:
-            return ref_pmf
-        if self.reference is None:
-            raise DomainError("no reference pmf passed or attached")
-        return self.reference[1]
-
-    def tv_distance(self, ref_pmf: dict[int, float] | None = None) -> float:
-        """Total-variation distance to the reference (half the l1 distance,
-        including reference mass outside the empirical support).
-
-        Raises DomainError if no reference is passed or attached."""
-        ref = self._reference_pmf(ref_pmf)
+    def tv_distance(self, ref: dict[int, float]) -> float:
+        """Total-variation distance to the reference pmf (half the l1
+        distance, including reference mass outside the empirical support)."""
         p_hat = self.pmf()
         support = set(p_hat) | set(ref)
         l1 = sum(abs(p_hat.get(k, 0.0) - ref.get(k, 0.0)) for k in support)
         l1 += max(0.0, 1.0 - sum(ref.values()))
         return 0.5 * l1
 
-    def chi_square(self, ref_pmf: dict[int, float] | None = None,
-                   min_expected: float = 5.0):
+    def chi_square(self, ref: dict[int, float]):
         """Pearson's chi-square goodness of fit against the reference pmf:
         ``(stat, pvalue, dof)`` with ``stat = sum((o - e)**2 / e)`` over the
         cells and ``pvalue = chdtrc(dof, stat)``, the upper tail of the
         chi-square law with ``dof`` = cells - 1.  Adjacent cells merge until
-        each expected count reaches ``min_expected``; the tail beyond the
+        each expected count reaches ``_MIN_EXPECTED``; the tail beyond the
         empirical support forms the last cell, and the expected counts are
         scaled to the observed total.
 
-        Raises DomainError if no reference is passed or attached, or fewer
-        than two cells remain."""
-        ref = self._reference_pmf(ref_pmf)
+        Raises DomainError if fewer than two cells remain."""
         kmax = max(max(self.counts), max(ref, default=0))
         obs = np.array([self.counts.get(k, 0) for k in range(kmax + 1)], dtype=float)
         exp = np.array([ref.get(k, 0.0) for k in range(kmax + 1)]) * self.replicas
@@ -113,7 +96,7 @@ class CountDistribution:
         for o, e in zip(obs, exp):
             acc_o += o
             acc_e += e
-            if acc_e >= min_expected:
+            if acc_e >= _MIN_EXPECTED:
                 obs_m.append(acc_o)
                 exp_m.append(acc_e)
                 acc_o = acc_e = 0.0
@@ -128,28 +111,6 @@ class CountDistribution:
         obs_m = np.asarray(obs_m)
         exp_m = np.asarray(exp_m) * obs_m.sum() / np.sum(exp_m)
         return _pearson(obs_m, exp_m)
-
-
-@dataclass
-class ExperimentConfig:
-    """Declarative description of one Monte Carlo experiment."""
-
-    params: ModelParams
-    times: tuple
-    replicas: int
-    seed: int
-    comparisons: tuple = ()
-    output_path: str | None = None
-
-    def __post_init__(self):
-        self.times = tuple(float(t) for t in self.times)
-        if self.replicas < 1:
-            raise DomainError("replicas must be >= 1")
-        if list(self.times) != sorted(self.times):
-            raise DomainError("times must be sorted")
-        for cmp_ in self.comparisons:
-            if cmp_ not in ("poisson", "exp-hawkes", "ilt"):
-                raise DomainError(f"unknown comparison {cmp_!r}")
 
 
 def count_matrix(
@@ -188,44 +149,14 @@ def expected_n_ilt_curve(p: ModelParams, times):
     return out
 
 
-def run_expected_n(cfg: ExperimentConfig) -> dict:
-    """Monte Carlo mean of N(t) over thinning paths with standard errors,
-    the closed-form curve, and optionally the numerical inversion of the
-    expected-count image.
-
-    Returns a dict with ``times``, ``mc_mean``, ``mc_se``, ``exact`` and
-    (if requested via comparisons) ``ilt`` arrays, and writes the curve
-    table when ``output_path`` is set.  Raises DomainError for fewer than
-    two replicas, which leave the standard error undefined.
-    """
-    if cfg.replicas < 2:
+def mean_and_se(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means of a (replicas x times) count matrix and their standard
+    errors.  Raises DomainError for fewer than two replicas, which leave the
+    standard error undefined."""
+    replicas = counts.shape[0]
+    if replicas < 2:
         raise DomainError("the standard error needs at least 2 replicas")
-    times = np.asarray(cfg.times, dtype=float)
-    counts = count_matrix(cfg.params, times, cfg.replicas, cfg.seed)
-    mc_mean = counts.mean(axis=0)
-    mc_se = counts.std(axis=0, ddof=1) / math.sqrt(cfg.replicas)
-    out = {
-        "times": times,
-        "mc_mean": mc_mean,
-        "mc_se": mc_se,
-        "exact": expected_n(times, cfg.params),
-        "engine": "thinning",
-        "replicas": cfg.replicas,
-    }
-    if "ilt" in cfg.comparisons:
-        out["ilt"] = expected_n_ilt_curve(cfg.params, times)
-    if cfg.output_path:
-        write_curves_csv(
-            cfg.output_path,
-            {
-                "t": times,
-                "mc_mean": mc_mean,
-                "mc_se": mc_se,
-                "exact": out["exact"],
-                "ilt": out.get("ilt"),
-            },
-        )
-    return out
+    return counts.mean(axis=0), counts.std(axis=0, ddof=1) / math.sqrt(replicas)
 
 
 def poisson_reference_pmf(rate_times_t: float, kmax: int) -> dict[int, float]:
@@ -243,49 +174,30 @@ def poisson_reference_pmf(rate_times_t: float, kmax: int) -> dict[int, float]:
     return dict(zip(ks.tolist(), pmf.tolist()))
 
 
-def run_distribution(cfg: ExperimentConfig) -> list[CountDistribution]:
-    """Empirical pmf of N(t) over thinning paths at each requested time,
-    with the requested reference attached (Poisson with mean lambda0*t, or
-    the empirical pmf of the exponential-kernel process at matched
-    ``(seed, replica)`` indices)."""
-    times = np.asarray(cfg.times, dtype=float)
-    counts = count_matrix(cfg.params, times, cfg.replicas, cfg.seed)
-    ref_counts = None
-    if "exp-hawkes" in cfg.comparisons:
-        ref_counts = count_matrix(
-            cfg.params, times, cfg.replicas, cfg.seed, "exp_hawkes"
-        )
-    dists = []
-    records = []
+def count_distributions(
+    p: ModelParams, times, replicas: int, seed: int, reference: str | None = None
+) -> list[tuple[CountDistribution, dict[int, float] | None]]:
+    """Empirical law of N(t) over thinning paths at each time, paired with
+    its reference pmf: ``None``; ``"poisson"``, Poisson(lambda0*t) on
+    ``k = 0..kmax + 30`` for the largest observed count ``kmax``; or
+    ``"exp_hawkes"``, the empirical pmf of the exponential-kernel process at
+    matched ``(seed, replica)`` indices.
+
+    Raises DomainError for any other reference.
+    """
+    if reference not in (None, "poisson", "exp_hawkes"):
+        raise DomainError(f"unknown reference {reference!r}")
+    times = np.asarray(times, dtype=float)
+    counts = count_matrix(p, times, replicas, seed)
+    if reference == "exp_hawkes":
+        ref_counts = count_matrix(p, times, replicas, seed, "exp_hawkes")
+    out = []
     for j, t in enumerate(times):
-        col = counts[:, j]
-        reference = None
-        if "poisson" in cfg.comparisons:
-            reference = (
-                "poisson",
-                poisson_reference_pmf(cfg.params.lambda0 * t, int(col.max()) + 10),
-            )
-        elif "exp-hawkes" in cfg.comparisons:
-            reference = (
-                "exp_hawkes_empirical",
-                CountDistribution.from_counts(ref_counts[:, j], t, cfg.params).pmf(),
-            )
-        dist = CountDistribution.from_counts(
-            col, t, cfg.params, reference=reference
-        )
-        dists.append(dist)
-        p_hat = dist.pmf()
-        ref_pmf = reference[1] if reference else {}
-        for k in sorted(set(p_hat) | set(ref_pmf)):
-            records.append(
-                (
-                    t,
-                    k,
-                    dist.counts.get(k, 0),
-                    p_hat.get(k, 0.0),
-                    ref_pmf.get(k, math.nan) if reference else math.nan,
-                )
-            )
-    if cfg.output_path:
-        write_dist_csv(cfg.output_path, records)
-    return dists
+        dist = CountDistribution.from_counts(counts[:, j], t)
+        ref = None
+        if reference == "poisson":
+            ref = poisson_reference_pmf(p.lambda0 * t, max(dist.counts) + 30)
+        elif reference == "exp_hawkes":
+            ref = CountDistribution.from_counts(ref_counts[:, j], t).pmf()
+        out.append((dist, ref))
+    return out

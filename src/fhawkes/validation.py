@@ -30,10 +30,10 @@ from .analytics import (
 )
 from .errors import DomainError
 from .harness import (
-    CountDistribution,
+    count_distributions,
     count_matrix,
     expected_n_ilt_curve,
-    poisson_reference_pmf,
+    mean_and_se,
 )
 from .laplace import _half_line, forward_lt, ilt_grid
 from .special import MLKernelParams, erfcx, ml_density, ml_one, prabhakar
@@ -62,20 +62,18 @@ class ValidationConfig:
         self.tv_scale = math.sqrt(10_000 / self.replicas)
 
 
-def _result(name, passed, measured, bound, seconds, details=None):
+def _result(name, passed, measured, bound, details=None):
     return {
         "name": name,
         "passed": bool(passed),
         "measured": float(measured),
         "bound": float(bound),
-        "seconds": round(seconds, 3),
         "details": details or {},
     }
 
 
 def c01_special_identities(cfg: ValidationConfig) -> dict:
     """Mittag-Leffler identity suite at 1e-10 / 1e-12 relative."""
-    t0 = time.perf_counter()
     x = np.linspace(0.0, 100.0, 201)
     rel1 = np.max(np.abs(ml_one(0.5, -x) - erfcx(x)) / erfcx(x))
     worst0 = 0.0
@@ -91,7 +89,6 @@ def c01_special_identities(cfg: ValidationConfig) -> dict:
         passed,
         max(rel1, worst0, rel_exp),
         1e-10,
-        time.perf_counter() - t0,
         {"erfcx_identity": rel1, "at_zero": worst0, "exponential": rel_exp},
     )
 
@@ -105,7 +102,6 @@ def c02_kernel_transform(cfg: ValidationConfig) -> dict:
     ``t = u**(1/beta)`` on (0, 1) and ``t = u**(-1/beta)`` on [1, inf),
     where the kernel's ``t**(beta-1)`` head and ``t**(-1-beta)`` tail are
     smooth."""
-    t0 = time.perf_counter()
     worst_norm = 0.0
     worst_lt = 0.0
     for beta in (0.3, 0.5, 0.7, 0.9, 0.99):
@@ -124,14 +120,12 @@ def c02_kernel_transform(cfg: ValidationConfig) -> dict:
         passed,
         max(worst_norm, worst_lt),
         1e-6,
-        time.perf_counter() - t0,
         {"normalization": worst_norm, "transform": worst_lt},
     )
 
 
 def c03_half_beta_consistency(cfg: ValidationConfig) -> dict:
     """The erfcx closed form and the Mittag-Leffler form agree at beta=1/2."""
-    t0 = time.perf_counter()
     t = np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 400)])
     worst = 0.0
     for g in _GAMMA_GRID:
@@ -144,13 +138,11 @@ def c03_half_beta_consistency(cfg: ValidationConfig) -> dict:
         worst <= 1e-9,
         worst,
         1e-9,
-        time.perf_counter() - t0,
     )
 
 
 def c04_intensity_vs_inversion(cfg: ValidationConfig) -> dict:
     """Exact expected intensity vs numerical Laplace inversion, 1e-4."""
-    t0 = time.perf_counter()
     t = np.geomspace(0.05, 50.0, 160)
     worst = 0.0
     for beta in (0.5, 0.9):
@@ -164,7 +156,6 @@ def c04_intensity_vs_inversion(cfg: ValidationConfig) -> dict:
         worst <= 1e-4,
         worst,
         1e-4,
-        time.perf_counter() - t0,
     )
 
 
@@ -172,7 +163,6 @@ def c05_asymptote(cfg: ValidationConfig) -> dict:
     """Initial value, strict growth below the asymptote, the tail gap at
     t=100 against a frozen high-precision value, and the small-s slope of
     the image correction term."""
-    t0 = time.perf_counter()
     details = {}
     ok = True
     t = np.geomspace(1e-3, 100.0, 500)
@@ -203,7 +193,6 @@ def c05_asymptote(cfg: ValidationConfig) -> dict:
         ok,
         gap_err,
         0.2,
-        time.perf_counter() - t0,
         details,
     )
 
@@ -211,16 +200,13 @@ def c05_asymptote(cfg: ValidationConfig) -> dict:
 def _mc_deviations(p, times, replicas, seed, *references):
     """Largest distance, in standard errors, of the thinning Monte Carlo
     mean of N(t) from each reference curve on ``times``."""
-    counts = count_matrix(p, times, replicas, seed)
-    mc = counts.mean(axis=0)
-    se = counts.std(axis=0, ddof=1) / math.sqrt(replicas)
+    mc, se = mean_and_se(count_matrix(p, times, replicas, seed))
     return [float(np.max(np.abs(mc - ref) / se)) for ref in references]
 
 
 def c06_expected_count_half(cfg: ValidationConfig) -> dict:
     """Monte Carlo mean of N(t) within 3 standard errors of the beta=1/2
     closed form on t = 1..10 for each kernel time scale."""
-    t0 = time.perf_counter()
     times = np.arange(1.0, 11.0)
     worst = 0.0
     details = {}
@@ -236,7 +222,6 @@ def c06_expected_count_half(cfg: ValidationConfig) -> dict:
         worst <= 3.0,
         worst,
         3.0,
-        time.perf_counter() - t0,
         details,
     )
 
@@ -244,7 +229,6 @@ def c06_expected_count_half(cfg: ValidationConfig) -> dict:
 def c07_expected_count_near_exponential(cfg: ValidationConfig) -> dict:
     """At beta=0.99 the Monte Carlo means match both the closed form and the
     numerical inversion of the expected-count image within 3 SE."""
-    t0 = time.perf_counter()
     times = np.arange(1.0, 11.0)
     worst = 0.0
     details = {}
@@ -261,7 +245,6 @@ def c07_expected_count_near_exponential(cfg: ValidationConfig) -> dict:
         worst <= 3.0,
         worst,
         3.0,
-        time.perf_counter() - t0,
         details,
     )
 
@@ -300,7 +283,6 @@ def c08_engine_agreement(cfg: ValidationConfig) -> dict:
     """Thinning and branching engines produce the same N(10) law: the
     two-sample Kolmogorov-Smirnov statistic D of the two count samples, and
     its exact two-sided p-value, which must exceed 0.01."""
-    t0 = time.perf_counter()
     p = ModelParams(1.0, 0.5, 0.5, 1.0)
     times = np.array([10.0])
     a = count_matrix(p, times, cfg.ks_replicas, cfg.seed + 80, "thinning")[:, 0]
@@ -311,7 +293,6 @@ def c08_engine_agreement(cfg: ValidationConfig) -> dict:
         pvalue > 0.01,
         pvalue,
         0.01,
-        time.perf_counter() - t0,
         {"ks_statistic": float(stat), "mean_thinning": float(a.mean()),
          "mean_cluster": float(b.mean())},
     )
@@ -320,26 +301,23 @@ def c08_engine_agreement(cfg: ValidationConfig) -> dict:
 def c09_poisson_limit(cfg: ValidationConfig) -> dict:
     """At alpha=0.01 the count distribution is close to Poisson(lambda0*t)
     in total variation."""
-    t0 = time.perf_counter()
     bound = 0.05 * cfg.tv_scale
     worst = 0.0
     details = {}
     times = (1.0, 5.0, 10.0)
     for i, beta in enumerate((0.5, 0.9)):
         p = ModelParams(1.0, 0.01, beta, 1.0)
-        counts = count_matrix(p, times, cfg.replicas, cfg.seed + 90 + i)
-        for j, t in enumerate(times):
-            dist = CountDistribution.from_counts(counts[:, j], t, p)
-            kmax = max(dist.counts)
-            tv = dist.tv_distance(poisson_reference_pmf(p.lambda0 * t, kmax + 30))
-            details[f"beta={beta},t={t}"] = tv
+        for dist, ref in count_distributions(
+            p, times, cfg.replicas, cfg.seed + 90 + i, "poisson"
+        ):
+            tv = dist.tv_distance(ref)
+            details[f"beta={beta},t={dist.t}"] = tv
             worst = max(worst, tv)
     return _result(
         "Poisson limit at small branching ratio (TV)",
         worst <= bound,
         worst,
         bound,
-        time.perf_counter() - t0,
         details,
     )
 
@@ -347,77 +325,69 @@ def c09_poisson_limit(cfg: ValidationConfig) -> dict:
 def c10_exponential_limit(cfg: ValidationConfig) -> dict:
     """At beta=0.99 the count distribution matches the exponential-kernel
     process in total variation, with paired (seed, replica) indexing."""
-    t0 = time.perf_counter()
     bound = 0.05 * cfg.tv_scale
     worst = 0.0
     details = {}
     times = (1.0, 5.0, 10.0)
     for i, alpha in enumerate((0.1, 0.5)):
         p = ModelParams(1.0, alpha, 0.99, 1.0)
-        counts = count_matrix(p, times, cfg.replicas, cfg.seed + 100 + i)
-        ref = count_matrix(p, times, cfg.replicas, cfg.seed + 100 + i, "exp_hawkes")
-        for j, t in enumerate(times):
-            dist = CountDistribution.from_counts(counts[:, j], t, p)
-            tv = dist.tv_distance(CountDistribution.from_counts(ref[:, j], t, p).pmf())
-            details[f"alpha={alpha},t={t}"] = tv
+        for dist, ref in count_distributions(
+            p, times, cfg.replicas, cfg.seed + 100 + i, "exp_hawkes"
+        ):
+            tv = dist.tv_distance(ref)
+            details[f"alpha={alpha},t={dist.t}"] = tv
             worst = max(worst, tv)
     return _result(
         "exponential-kernel limit at beta=0.99 (TV)",
         worst <= bound,
         worst,
         bound,
-        time.perf_counter() - t0,
         details,
     )
 
 
 def c11_poisson_rejected(cfg: ValidationConfig) -> dict:
-    """At alpha=0.5 the Poisson reference is rejected (chi-square p < 0.01)."""
-    t0 = time.perf_counter()
+    """At alpha=0.5 the Poisson reference is rejected (chi-square p < 0.01).
+    Each cell records the statistic and its degrees of freedom beside the
+    p-value, which underflows to 0 at full replica counts."""
     worst_p = 0.0
     details = {}
     times = (5.0, 10.0)
     for i, beta in enumerate((0.5, 0.9)):
         p = ModelParams(1.0, 0.5, beta, 1.0)
-        counts = count_matrix(p, times, cfg.replicas, cfg.seed + 110 + i)
-        for j, t in enumerate(times):
-            dist = CountDistribution.from_counts(counts[:, j], t, p)
-            kmax = max(dist.counts)
-            _, pvalue, _ = dist.chi_square(
-                poisson_reference_pmf(p.lambda0 * t, kmax + 30)
-            )
-            details[f"beta={beta},t={t}"] = pvalue
+        for dist, ref in count_distributions(
+            p, times, cfg.replicas, cfg.seed + 110 + i, "poisson"
+        ):
+            stat, pvalue, dof = dist.chi_square(ref)
+            details[f"beta={beta},t={dist.t}"] = {
+                "pvalue": pvalue, "statistic": stat, "dof": dof,
+            }
             worst_p = max(worst_p, pvalue)
     return _result(
         "Poisson approximation rejected at strong excitation",
         worst_p < 0.01,
         worst_p,
         0.01,
-        time.perf_counter() - t0,
         details,
     )
 
 
-def c12_determinism(cfg: ValidationConfig, records: list | None = None) -> dict:
+def c12_determinism(cfg: ValidationConfig, records: list) -> dict:
     """Two smoke runs with the same seed produce identical numerical
-    reports (timings excluded).
+    records (timings excluded).
 
-    ``records`` are the c01-c11 records this smoke run already computed;
-    they serve as the first run, so only one more is needed.
+    In smoke mode ``records``, the c01-c11 records this run already
+    computed, serve as the first run; a full run makes one smoke pass for
+    it.  Either way one more smoke pass is the second run.
     """
-    t0 = time.perf_counter()
-    if cfg.smoke and records is not None:
-        r1 = _report(cfg, records)
-    else:
-        r1 = run_validation(smoke=True, seed=cfg.seed, include_determinism=False)
-    r2 = run_validation(smoke=True, seed=cfg.seed, include_determinism=False)
-    same = _canonical(r1) == _canonical(r2)
+    smoke = ValidationConfig(seed=cfg.seed, smoke=True)
+    first = records if cfg.smoke else _records(smoke)
+    same = _canonical(first) == _canonical(_records(smoke))
     return _result(
         "seeded determinism of the validation run",
         same,
         0.0 if same else 1.0,
         0.0,
-        time.perf_counter() - t0,
     )
 
 
@@ -437,8 +407,9 @@ CRITERIA = [
 ]
 
 
-def _canonical(report: dict) -> str:
-    """Report serialization with volatile fields (timings) removed."""
+def _canonical(report) -> str:
+    """Serialization of a report, or of its records, with the volatile
+    fields (timings) removed."""
     import json
 
     def strip(obj):
@@ -461,25 +432,32 @@ def _report(cfg: ValidationConfig, records: list) -> dict:
     }
 
 
-def run_validation(
-    smoke: bool = False, seed: int = 20240801, include_determinism: bool = True
-) -> dict:
+def run_validation(smoke: bool = False, seed: int = 20240801) -> dict:
     """Execute the criteria and return the report dict.
 
     Never raises on a criterion failure; each record carries name, measured
-    value, bound, pass flag and wall time.  c12 compares a smoke run's own
-    c01-c11 records against one seeded rerun.
+    value, bound, pass flag and wall time.  c12 checks the c01-c11 records
+    against one seeded smoke rerun.
     """
     cfg = ValidationConfig(seed=seed, smoke=smoke)
-    records = [_run(fn, cfg) for fn in CRITERIA[:-1]]
-    if include_determinism:
-        records.append(_run(c12_determinism, cfg, records))
+    records = _records(cfg)
+    records.append(_run(c12_determinism, cfg, records))
     return _report(cfg, records)
 
 
+def _records(cfg: ValidationConfig) -> list:
+    """The c01-c11 records of one pass."""
+    return [_run(fn, cfg) for fn in CRITERIA[:-1]]
+
+
 def _run(criterion, *args) -> dict:
+    """One criterion's record with its wall time; a crash counts as a
+    failure."""
+    t0 = time.perf_counter()
     try:
-        return criterion(*args)
-    except Exception as exc:  # criterion crash counts as failure
-        return _result(criterion.__name__, False, math.nan, math.nan, 0.0,
-                       {"error": repr(exc)})
+        rec = criterion(*args)
+    except Exception as exc:
+        rec = _result(criterion.__name__, False, math.nan, math.nan,
+                      {"error": repr(exc)})
+    rec["seconds"] = round(time.perf_counter() - t0, 3)
+    return rec

@@ -33,7 +33,7 @@ _CASES = [
 
 @pytest.mark.parametrize("tag,criterion,budget", _CASES, ids=[c[0] for c in _CASES])
 def test_criterion(tag, criterion, budget):
-    rec = criterion(_CFG)
+    rec = v._run(criterion, _CFG)
     status = "PASS" if rec["passed"] else "FAIL"
     print(
         f"\nACCEPTANCE {tag} [{status}] {rec['name']}: "

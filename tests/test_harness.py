@@ -1,23 +1,25 @@
-"""Experiment harness: emission round trips, SE scaling, distribution
-statistics, and runner behavior."""
+"""Monte Carlo harness: emission round trips, SE scaling, distribution
+statistics, and the count-comparison functions."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from fhawkes import ModelParams
+from fhawkes import EventSequence, ModelParams
 from fhawkes.harness import (
     CountDistribution,
-    ExperimentConfig,
+    count_distributions,
     count_matrix,
     expected_n_ilt_curve,
+    mean_and_se,
     poisson_reference_pmf,
-    run_distribution,
-    run_expected_n,
 )
 from fhawkes.errors import DomainError
 from fhawkes.io import (
+    CURVE_COLUMNS,
     read_curves_csv,
     read_dist_csv,
     read_events_csv,
@@ -70,43 +72,113 @@ class TestIo:
         assert read_report_json(path) == rep
 
 
+# every double: NaN, +-inf, -0.0 and subnormals included
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_INTS = st.integers(0, 2**62)
+_EXTREMES = [5e-324, -2.2250738585072014e-308, -0.0, math.inf, -math.inf,
+             math.nan, 1.7976931348623157e308]
+_SETTINGS = settings(
+    max_examples=100, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _bits(x):
+    """Bit patterns of a float array, every NaN mapped to the same one."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), math.nan, x).view(np.int64).tolist()
+
+
+@st.composite
+def _curve_tables(draw):
+    n = draw(st.integers(0, 6))
+    cols = draw(st.lists(st.sampled_from(CURVE_COLUMNS[1:]), unique=True))
+    return {c: draw(st.lists(_FLOATS, min_size=n, max_size=n)) for c in ["t", *cols]}
+
+
+@st.composite
+def _event_sequences(draw):
+    horizon = draw(st.floats(1e-300, 1e300))
+    epochs = st.floats(0.0, horizon, exclude_min=True, allow_subnormal=True)
+    replicas = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=5))
+    return [
+        EventSequence(sorted(draw(st.sets(epochs, max_size=6))), horizon, 0,
+                      "thinning", replica=r)
+        for r in replicas
+    ]
+
+
+class TestIoExact:
+    """Every writer's table reads back to the same doubles, bit for bit;
+    NaN cells read back as NaN."""
+
+    @_SETTINGS
+    @given(_curve_tables())
+    @example({"t": _EXTREMES, "ilt": _EXTREMES[::-1]})
+    def test_curves(self, tmp_path, table):
+        path = tmp_path / "curves.csv"
+        write_curves_csv(path, table)
+        back = read_curves_csv(path)
+        n = len(table["t"])
+        for c in CURVE_COLUMNS:
+            assert _bits(back[c]) == _bits(table.get(c, [math.nan] * n))
+
+    @_SETTINGS
+    @given(st.lists(st.tuples(_FLOATS, _INTS, _INTS, _FLOATS, _FLOATS), max_size=6))
+    @example([(x, 3, 7, x, -x) for x in _EXTREMES])
+    def test_dist(self, tmp_path, records):
+        path = tmp_path / "dist.csv"
+        write_dist_csv(path, records)
+        back = read_dist_csv(path)
+        assert [r[1:3] for r in back] == [r[1:3] for r in records]
+        for col in (0, 3, 4):
+            assert _bits([r[col] for r in back]) == _bits([r[col] for r in records])
+
+    @_SETTINGS
+    @given(_event_sequences())
+    @example([EventSequence([5e-324, 1e-310, 1.0], 1.0, 0, "thinning", replica=4),
+              EventSequence([], 1.0, 0, "thinning", replica=2)])
+    def test_events(self, tmp_path, seqs):
+        path = tmp_path / "events.csv"
+        write_events_csv(path, seqs)
+        back = read_events_csv(path)
+        # a replica with no events writes no row, so it does not read back
+        assert sorted(back) == sorted(s.replica for s in seqs if len(s))
+        for seq in seqs:
+            if len(seq):
+                assert _bits(back[seq.replica]) == _bits(seq.epochs)
+
+
 class TestCountDistribution:
     def test_pmf_normalized(self):
-        d = CountDistribution(1.0, {0: 40, 1: 35, 2: 25}, 100, P)
+        d = CountDistribution(1.0, {0: 40, 1: 35, 2: 25}, 100)
         assert sum(d.pmf().values()) == pytest.approx(1.0)
 
     def test_frequencies_must_sum(self):
         with pytest.raises(DomainError):
-            CountDistribution(1.0, {0: 40}, 100, P)
+            CountDistribution(1.0, {0: 40}, 100)
 
     def test_tv_distance_identical_is_zero(self):
-        d = CountDistribution(1.0, {0: 50, 1: 50}, 100, P)
+        d = CountDistribution(1.0, {0: 50, 1: 50}, 100)
         assert d.tv_distance({0: 0.5, 1: 0.5}) == pytest.approx(0.0)
 
-    def test_no_reference_is_domain_error(self):
-        d = CountDistribution(1.0, {0: 50, 1: 50}, 100, P)
-        with pytest.raises(DomainError, match="reference"):
-            d.tv_distance()
-        with pytest.raises(DomainError, match="reference"):
-            d.chi_square()
-
     def test_tv_distance_disjoint_is_one(self):
-        d = CountDistribution(1.0, {0: 100}, 100, P)
+        d = CountDistribution(1.0, {0: 100}, 100)
         assert d.tv_distance({5: 1.0}) == pytest.approx(1.0)
 
     def test_tv_counts_reference_tail(self):
-        d = CountDistribution(1.0, {0: 100}, 100, P)
+        d = CountDistribution(1.0, {0: 100}, 100)
         # reference puts half its mass beyond the listed support
         assert d.tv_distance({0: 0.5}) == pytest.approx(0.5)
 
     def test_no_replicas_is_domain_error(self):
         with pytest.raises(DomainError, match="replicas"):
-            CountDistribution(1.0, {}, 0, P)
+            CountDistribution(1.0, {}, 0)
         with pytest.raises(DomainError, match="replicas"):
-            CountDistribution.from_counts(np.array([], dtype=int), 1.0, P)
+            CountDistribution.from_counts(np.array([], dtype=int), 1.0)
 
     def test_chi_square_empty_reference_is_domain_error(self):
-        d = CountDistribution(1.0, {0: 50, 1: 50}, 100, P)
+        d = CountDistribution(1.0, {0: 50, 1: 50}, 100)
         with pytest.raises(DomainError, match="two merged cells"):
             d.chi_square({})
 
@@ -123,7 +195,7 @@ class TestCountDistribution:
         draws = rng.poisson(5.0, 5000)
         ks, freqs = np.unique(draws, return_counts=True)
         d = CountDistribution(
-            1.0, {int(k): int(f) for k, f in zip(ks, freqs)}, 5000, P
+            1.0, {int(k): int(f) for k, f in zip(ks, freqs)}, 5000
         )
         _, pvalue, dof = d.chi_square(poisson_reference_pmf(5.0, 40))
         assert pvalue > 0.01
@@ -131,70 +203,52 @@ class TestCountDistribution:
 
 
 class TestRunners:
-    def test_expected_n_agrees(self, tmp_path):
-        cfg = ExperimentConfig(
-            params=P,
-            times=(1.0, 5.0, 10.0),
-            replicas=1500,
-            seed=77,
-            comparisons=("ilt",),
-            output_path=str(tmp_path / "en.csv"),
-        )
-        res = run_expected_n(cfg)
-        dev = np.abs(res["mc_mean"] - res["exact"]) / res["mc_se"]
-        assert np.max(dev) < 4.0
-        np.testing.assert_allclose(res["ilt"], res["exact"], atol=5e-3)
-        back = read_curves_csv(tmp_path / "en.csv")
-        np.testing.assert_array_equal(back["mc_mean"], res["mc_mean"])
+    def test_expected_n_agrees(self):
+        times = np.array([1.0, 5.0, 10.0])
+        mc, se = mean_and_se(count_matrix(P, times, 1500, 77))
+        exact = expected_n(times, P)
+        assert np.max(np.abs(mc - exact) / se) < 4.0
+        np.testing.assert_allclose(expected_n_ilt_curve(P, times), exact, atol=5e-3)
 
     def test_se_scales_with_replicas(self):
-        cfg_small = ExperimentConfig(params=P, times=(10.0,), replicas=400, seed=88)
-        cfg_big = ExperimentConfig(params=P, times=(10.0,), replicas=1600, seed=88)
-        se_small = run_expected_n(cfg_small)["mc_se"][0]
-        se_big = run_expected_n(cfg_big)["mc_se"][0]
-        ratio = se_small / se_big
+        _, se_small = mean_and_se(count_matrix(P, (10.0,), 400, 88))
+        _, se_big = mean_and_se(count_matrix(P, (10.0,), 1600, 88))
+        ratio = se_small[0] / se_big[0]
         assert 2.0 * 0.85 < ratio < 2.0 * 1.15
 
-    def test_distribution_poisson_reference(self, tmp_path):
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_mean_and_se_needs_two_replicas(self, replicas):
+        with pytest.raises(DomainError, match="at least 2 replicas"):
+            mean_and_se(count_matrix(P, (1.0, 2.0), replicas, 3))
+
+    def test_distribution_poisson_reference(self):
         p = ModelParams(1.0, 0.01, 0.5, 1.0)
-        cfg = ExperimentConfig(
-            params=p,
-            times=(1.0, 5.0),
-            replicas=2000,
-            seed=99,
-            comparisons=("poisson",),
-            output_path=str(tmp_path / "dist.csv"),
-        )
-        dists = run_distribution(cfg)
-        assert [d.t for d in dists] == [1.0, 5.0]
-        for d in dists:
-            assert d.reference[0] == "poisson"
-            assert d.tv_distance() < 0.1
-        rows = read_dist_csv(tmp_path / "dist.csv")
-        by_t = {}
-        for t, k, freq, p_hat, p_ref in rows:
-            by_t.setdefault(t, 0)
-            by_t[t] += freq
-        assert by_t == {1.0: 2000, 5.0: 2000}
+        pairs = count_distributions(p, (1.0, 5.0), 2000, 99, "poisson")
+        assert [d.t for d, _ in pairs] == [1.0, 5.0]
+        for d, ref in pairs:
+            assert d.replicas == sum(d.counts.values()) == 2000
+            assert list(ref) == list(range(max(d.counts) + 31))
+            assert ref == poisson_reference_pmf(d.t, max(d.counts) + 30)
+            assert d.tv_distance(ref) < 0.1
 
     def test_distribution_exp_hawkes_reference(self):
         p = ModelParams(1.0, 0.1, 0.99, 1.0)
-        cfg = ExperimentConfig(
-            params=p,
-            times=(5.0,),
-            replicas=1500,
-            seed=101,
-            comparisons=("exp-hawkes",),
-        )
-        (dist,) = run_distribution(cfg)
-        assert dist.reference[0] == "exp_hawkes_empirical"
-        assert dist.tv_distance() < 0.15
+        ((dist, ref),) = count_distributions(p, (5.0,), 1500, 101, "exp_hawkes")
+        paired = count_matrix(p, (5.0,), 1500, 101, "exp_hawkes")[:, 0]
+        assert ref == CountDistribution.from_counts(paired, 5.0).pmf()
+        assert dist.tv_distance(ref) < 0.15
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            ExperimentConfig(params=P, times=(2.0, 1.0), replicas=10, seed=0)
-        with pytest.raises(DomainError):
-            ExperimentConfig(params=P, times=(1.0,), replicas=0, seed=0)
+    def test_distribution_without_reference(self):
+        pairs = count_distributions(P, (1.0, 2.0), 50, 5)
+        counts = count_matrix(P, (1.0, 2.0), 50, 5)
+        for j, (dist, ref) in enumerate(pairs):
+            assert ref is None
+            assert dist == CountDistribution.from_counts(counts[:, j], dist.t)
+
+    @pytest.mark.parametrize("reference", ["exp-hawkes", "exact", "ilt"])
+    def test_unknown_reference_is_domain_error(self, reference):
+        with pytest.raises(DomainError, match="unknown reference"):
+            count_distributions(P, (1.0,), 10, 0, reference)
 
     def test_count_matrix_deterministic(self):
         a = count_matrix(P, (1.0, 5.0), 50, seed=7)
@@ -220,7 +274,7 @@ class TestRunners:
         np.testing.assert_allclose(got[1:], expected_n(times, p), rtol=1e-8)
 
     def test_from_counts_pmf(self):
-        dist = CountDistribution.from_counts(np.array([1, 1, 2, 4]), 1.0, P)
+        dist = CountDistribution.from_counts(np.array([1, 1, 2, 4]), 1.0)
         assert dist.pmf() == {1: 0.5, 2: 0.25, 4: 0.25}
 
     def test_count_matrix_rejects_empty_sizes(self):

@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp, poisson
 
-from fhawkes import DomainError, ModelParams
+from fhawkes import DomainError
 from fhawkes import harness
 from fhawkes.harness import CountDistribution, poisson_reference_pmf
 from fhawkes.validation import _ks_two_sample
-
-P = ModelParams(1.0, 0.1, 0.5, 0.8)
 
 
 def _ks_cases():
@@ -79,7 +77,7 @@ def test_chi_square_matches_scipy(monkeypatch):
     for _ in range(500):
         mu = rng.uniform(0.5, 40.0)
         draws = rng.poisson(mu * rng.uniform(0.9, 1.1), int(rng.integers(50, 5000)))
-        d = CountDistribution.from_counts(draws, 1.0, P)
+        d = CountDistribution.from_counts(draws, 1.0)
         d.chi_square(poisson_reference_pmf(mu, int(draws.max()) + 10))
     assert len(calls) == 500 and min(calls) >= 2
 
