@@ -11,13 +11,12 @@ Smaller replica counts than the validation suite: this is a walkthrough,
 not the gate.  Writes one curve table per gamma into ``out/``.
 """
 
-import math
 import pathlib
 
 import numpy as np
 
 from fhawkes import ModelParams, expected_n, expected_n_half
-from fhawkes.harness import count_matrix, expected_n_ilt_curve
+from fhawkes.harness import count_matrix, expected_n_ilt_curve, mean_and_se
 from fhawkes.io import write_curves_csv
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
@@ -30,9 +29,7 @@ for beta in (0.5, 0.99):
     print(f"\nbeta = {beta}: MC over {REPLICAS} replicas vs closed form vs inversion")
     for gamma in (0.1, 0.8, 1.7):
         p = ModelParams(lambda0=1.0, alpha=0.1, beta=beta, gamma=gamma)
-        counts = count_matrix(p, times, REPLICAS, seed=515)
-        mc = counts.mean(axis=0)
-        se = counts.std(axis=0, ddof=1) / math.sqrt(REPLICAS)
+        mc, se = mean_and_se(count_matrix(p, times, REPLICAS, seed=515))
         exact = expected_n(times, p)
         if beta == 0.5:
             assert np.allclose(expected_n_half(times, p), exact, rtol=1e-9)

@@ -7,8 +7,7 @@ The library provides:
 * ``laplace`` — numerical inversion of Laplace transforms on the real time
   axis and forward transforms by quadrature;
 * ``analytics`` — closed-form expected intensity and expected event counts;
-* ``simulate`` — thinning and branching-cluster samplers of the process,
-  plus Poisson and exponential-kernel references;
+* ``simulate`` — thinning and branching-cluster samplers of the process;
 * ``harness`` — Monte Carlo counting: count matrices, their means with
   standard errors, and count distributions with their references;
 * ``io`` — the CSV tables of curves, distributions and events, and the
@@ -40,8 +39,6 @@ from .simulate import (
     EventSequence,
     intensity,
     simulate_cluster,
-    simulate_exp_hawkes,
-    simulate_poisson,
     simulate_thinning,
 )
 from .special import (

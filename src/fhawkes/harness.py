@@ -118,17 +118,23 @@ def count_matrix(
 ) -> np.ndarray:
     """(replicas x len(times)) matrix of counts N(t), one simulated path per
     row, all counted from the same path.  Row ``r`` is the path of replica
-    ``r``, as the engine's ``simulate_*`` function draws it; the thinning
-    kernel is built and certified once for all rows.
+    ``r`` on the ``engine``'s stream: ``"thinning"`` and ``"cluster"`` as
+    :func:`~fhawkes.simulate.simulate_thinning` and
+    :func:`~fhawkes.simulate.simulate_cluster` draw it, ``"exp_hawkes"`` the
+    exponential-kernel process with ``p``'s ``lambda0``, ``alpha`` and
+    ``gamma``.  The thinning kernel is built and certified once for all rows.
 
     Raises
     ------
     DomainError
-        If ``times`` is empty or ``replicas`` is negative.
+        If ``times`` is empty or has a negative time, if ``replicas`` is
+        negative, or for an unknown engine.
     """
     times = np.asarray(times, dtype=float)
-    if not (times.size > 0 and replicas >= 0):
-        raise DomainError("count_matrix needs at least one time and replicas >= 0")
+    if not (times.size > 0 and times.min() >= 0.0 and replicas >= 0):
+        raise DomainError(
+            "count_matrix needs at least one time, all times >= 0 and replicas >= 0"
+        )
     draw = _sampler(engine, p, float(times.max()))
     out = np.empty((replicas, times.size), dtype=np.int64)
     for r in range(replicas):

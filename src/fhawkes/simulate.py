@@ -9,13 +9,14 @@ kernel, by two independent constructions:
 * the branching (immigrants-and-offspring) representation, where each event
   spawns a Poisson(alpha) number of children at kernel-distributed delays.
 
-Reference simulators for the homogeneous Poisson process and for the
-exponential-kernel process (the one-component case of the thinning loop)
-are included for the limit comparisons.
+The exponential-kernel process, the reference of the beta -> 1 limit, is
+the one-component case of the thinning loop: the ``exp_hawkes`` engine of
+:func:`fhawkes.harness.count_matrix`.
 
 All engines draw from counter-based generator streams keyed by
 ``(seed, engine, replica)``, so independent replicas are reproducible and
-insensitive to execution order.
+insensitive to execution order.  Every engine raises BudgetError once a
+path passes ``DEFAULT_MAX_EVENTS`` events.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,12 +37,12 @@ __all__ = [
     "intensity",
     "replica_stream",
     "simulate_cluster",
-    "simulate_exp_hawkes",
-    "simulate_poisson",
     "simulate_thinning",
 ]
 
-ENGINES = ("thinning", "cluster", "poisson", "exp_hawkes")
+# the stream key of each engine, fixed: renumbering would move every seeded
+# result
+ENGINES = MappingProxyType({"thinning": 0, "cluster": 1, "exp_hawkes": 3})
 
 DEFAULT_MAX_EVENTS = 10_000_000
 
@@ -65,7 +67,7 @@ def replica_stream(seed: int, engine: str, replica: int = 0) -> np.random.Genera
         raise DomainError(
             f"seed and replica must be nonnegative, got {seed} and {replica}"
         )
-    key = np.random.SeedSequence((int(seed), ENGINES.index(engine), int(replica)))
+    key = np.random.SeedSequence((int(seed), ENGINES[engine], int(replica)))
     return np.random.Generator(np.random.Philox(key))
 
 
@@ -109,10 +111,6 @@ class EventSequence:
 
     def __len__(self):
         return int(self.epochs.size)
-
-    def count_at(self, t: float) -> int:
-        """Number of events with epoch <= t."""
-        return int(np.searchsorted(self.epochs, t, side="right"))
 
 
 def intensity(t: float, history, p: ModelParams) -> float:
@@ -190,7 +188,7 @@ def _proposal_draws(rng: np.random.Generator):
         yield from zip(rng.standard_exponential(64).tolist(), rng.random(64).tolist())
 
 
-def _thin(lam0, rates, jumps, horizon, rng, max_events) -> np.ndarray:
+def _thin(lam0, rates, jumps, horizon, rng) -> np.ndarray:
     """Thinning epochs on ``(0, horizon]`` for the intensity
     ``lam0 + sum_q jumps_q * sum_{T_k < t} exp(-rates_q * (t - T_k))``, kept
     per component at the last epoch.  It never increases between events, so
@@ -218,42 +216,38 @@ def _thin(lam0, rates, jumps, horizon, rng, max_events) -> np.ndarray:
         state += jumps
         last = t
         epochs.append(t)
-        if len(epochs) > max_events:
-            raise BudgetError(f"thinning exceeded {max_events} events by t={t:g}")
+        if len(epochs) > DEFAULT_MAX_EVENTS:
+            raise BudgetError(
+                f"thinning exceeded {DEFAULT_MAX_EVENTS} events by t={t:g}"
+            )
         bound = lam + jump
     return np.array(epochs)
 
 
 def _sampler(engine: str, p: ModelParams, horizon: float):
-    """``draw(seed, replica=0, max_events=DEFAULT_MAX_EVENTS)`` of one
-    engine's paths on ``(0, horizon]``, with the horizon checked and the
-    thinning kernel built and certified once for all of them.  ``exp_hawkes``
-    takes ``p``'s ``lambda0``, ``alpha`` and ``gamma``."""
+    """``draw(seed, replica=0)`` of one engine's paths on ``(0, horizon]``,
+    with the horizon checked and the thinning kernel built and certified
+    once for all of them.  ``exp_hawkes`` thins the exponential kernel with
+    ``p``'s ``lambda0``, ``alpha`` and ``gamma``."""
     _check_horizon(horizon)
     if engine == "cluster":
         return functools.partial(simulate_cluster, p, horizon)
-    if engine == "poisson":
-        return functools.partial(simulate_poisson, p.lambda0, horizon)
     if engine == "exp_hawkes":
         p = replace(p, beta=1.0)
     elif engine != "thinning":
         raise DomainError(f"unknown engine {engine!r}")
     rates, weights = _exp_mixture(p.kernel(), horizon)
 
-    def draw(seed, replica=0, max_events=DEFAULT_MAX_EVENTS):
+    def draw(seed, replica=0):
         rng = replica_stream(seed, engine, replica)
-        epochs = _thin(p.lambda0, rates, p.alpha * weights, horizon, rng, max_events)
+        epochs = _thin(p.lambda0, rates, p.alpha * weights, horizon, rng)
         return EventSequence(epochs, horizon, seed, engine, replica, p)
 
     return draw
 
 
 def simulate_thinning(
-    p: ModelParams,
-    horizon: float,
-    seed: int,
-    replica: int = 0,
-    max_events: int = DEFAULT_MAX_EVENTS,
+    p: ModelParams, horizon: float, seed: int, replica: int = 0
 ) -> EventSequence:
     """Thinning draw of the process on ``(0, horizon]``, exact for a
     sum-of-exponentials kernel surrogate with relative error on lags
@@ -265,15 +259,11 @@ def simulate_thinning(
     :func:`fhawkes.harness.count_matrix` certifies the surrogate once for
     all its paths.
     """
-    return _sampler("thinning", p, horizon)(seed, replica, max_events)
+    return _sampler("thinning", p, horizon)(seed, replica)
 
 
 def simulate_cluster(
-    p: ModelParams,
-    horizon: float,
-    seed: int,
-    replica: int = 0,
-    max_events: int = DEFAULT_MAX_EVENTS,
+    p: ModelParams, horizon: float, seed: int, replica: int = 0
 ) -> EventSequence:
     """Branching-representation draw of the process on ``(0, horizon]``.
 
@@ -283,7 +273,8 @@ def simulate_cluster(
     their descendants, which cannot precede them.  A child whose delay is
     below one ulp of its parent's epoch moves to the next float after the
     epoch before it.  Raises DomainError if ``lambda0 * horizon`` exceeds
-    about 9.2e18, and BudgetError once the events pass ``max_events``.
+    about 9.2e18, and BudgetError once the events pass
+    ``DEFAULT_MAX_EVENTS``.
     """
     _check_horizon(horizon)
     _check_poisson_mean(p.lambda0 * horizon)
@@ -292,8 +283,8 @@ def simulate_cluster(
     rng = replica_stream(seed, "cluster", replica)
     kernel = p.kernel()
     n_imm = rng.poisson(p.lambda0 * horizon)
-    if n_imm > max_events:
-        raise BudgetError(f"cluster engine exceeded {max_events} events")
+    if n_imm > DEFAULT_MAX_EVENTS:
+        raise BudgetError(f"cluster engine exceeded {DEFAULT_MAX_EVENTS} events")
     generation = np.sort(rng.uniform(0.0, horizon, n_imm))
     collected = [generation]
     total = generation.size
@@ -305,8 +296,8 @@ def simulate_cluster(
         children = parents + ml_sample(rng, kernel, parents.size)
         children = children[children <= horizon]
         total += children.size
-        if total > max_events:
-            raise BudgetError(f"cluster engine exceeded {max_events} events")
+        if total > DEFAULT_MAX_EVENTS:
+            raise BudgetError(f"cluster engine exceeded {DEFAULT_MAX_EVENTS} events")
         collected.append(children)
         generation = children
     epochs = np.sort(np.concatenate(collected))
@@ -317,36 +308,3 @@ def simulate_cluster(
             epochs[i] = max(epochs[i], math.nextafter(epochs[i - 1], math.inf))
         epochs = epochs[epochs <= horizon]
     return EventSequence(epochs, horizon, seed, "cluster", replica, p)
-
-
-def simulate_exp_hawkes(
-    lambda0: float,
-    alpha: float,
-    gamma: float,
-    horizon: float,
-    seed: int,
-    replica: int = 0,
-    max_events: int = DEFAULT_MAX_EVENTS,
-) -> EventSequence:
-    """Exponential-kernel self-exciting process (kernel ``gamma*exp(-gamma*t)``)
-    by exact thinning: the one-component case of :func:`simulate_thinning`,
-    on its own ``exp_hawkes`` streams."""
-    params = ModelParams(lambda0, alpha, 1.0, gamma)
-    return _sampler("exp_hawkes", params, horizon)(seed, replica, max_events)
-
-
-def simulate_poisson(
-    lambda0: float, horizon: float, seed: int, replica: int = 0
-) -> EventSequence:
-    """Homogeneous Poisson(lambda0) reference stream on ``(0, horizon]``;
-    raises DomainError if ``lambda0 * horizon`` exceeds about 9.2e18, and
-    BudgetError if the drawn count passes ``DEFAULT_MAX_EVENTS``."""
-    _check_horizon(horizon)
-    params = ModelParams(lambda0, 0.0, 1.0, 1.0)
-    _check_poisson_mean(lambda0 * horizon)
-    rng = replica_stream(seed, "poisson", replica)
-    n = rng.poisson(lambda0 * horizon)
-    if n > DEFAULT_MAX_EVENTS:
-        raise BudgetError(f"Poisson engine exceeded {DEFAULT_MAX_EVENTS} events")
-    epochs = np.sort(rng.uniform(0.0, horizon, n))
-    return EventSequence(epochs, horizon, seed, "poisson", replica, params)

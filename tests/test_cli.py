@@ -210,6 +210,16 @@ class TestDistCmd:
         assert res.exit_code == 0, res.output
         assert "TV vs exp_hawkes_empirical" in res.output
 
+    @pytest.mark.parametrize("times", ["-1", "-1,2"])
+    def test_negative_time_is_numerical_failure(self, monkeypatch, capsys,
+                                                tmp_path, times):
+        out = tmp_path / "dist.csv"
+        code, err = _exit_code(monkeypatch, capsys, "dist", *MODEL, f"--t={times}",
+                               "--replicas", "10", "--out", str(out))
+        assert code == 2
+        assert "numerical failure" in err
+        assert not out.exists()
+
     def test_bad_times_usage_error(self, runner, tmp_path):
         res = runner.invoke(
             cli,

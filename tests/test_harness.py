@@ -282,3 +282,8 @@ class TestRunners:
             count_matrix(P, [], 3, 1)
         with pytest.raises(DomainError):
             count_matrix(P, [1.0], -1, 1)
+
+    @pytest.mark.parametrize("times", [[-1.0, 2.0], [2.0, -0.0, -1e-300]])
+    def test_count_matrix_rejects_negative_times(self, times):
+        with pytest.raises(DomainError, match="times >= 0"):
+            count_matrix(P, times, 3, 0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest, ks_2samp, poisson
+from scipy.stats import kstest, ks_2samp
 
 from fhawkes import (
     AccuracyError,
@@ -21,13 +21,11 @@ from fhawkes import (
     ml_density,
     ml_one,
     simulate_cluster,
-    simulate_exp_hawkes,
-    simulate_poisson,
     simulate_thinning,
 )
 from fhawkes import simulate
 from fhawkes.harness import count_matrix
-from fhawkes.simulate import _exp_mixture, replica_stream
+from fhawkes.simulate import _exp_mixture, _sampler, replica_stream
 
 E_055_M01 = 0.47454388555084361831  # E_{0.5,0.5}(-0.1)
 
@@ -37,8 +35,8 @@ P_STRONG = ModelParams(1.0, 0.5, 0.5, 1.0)
 
 def _counts(engine, n, p, horizon, seed):
     """N(horizon) on replicas 0..n-1 of one engine.  count_matrix draws
-    replica r's path as the engine's simulate_* function does (see
-    TestStreams), but builds the thinning kernel once for all of them."""
+    replica r's path as the engine's sampler does (see TestStreams), but
+    builds the thinning kernel once for all of them."""
     return count_matrix(p, [horizon], n, seed, engine)[:, 0]
 
 
@@ -86,38 +84,10 @@ class TestEventSequence:
         with pytest.raises(DomainError):
             EventSequence(np.array([1.0]), 10.0, 0, "mystery")
 
-    def test_count_at(self):
-        seq = EventSequence(np.array([1.0, 2.0, 5.0]), 10.0, 0, "poisson")
-        assert seq.count_at(0.5) == 0
-        assert seq.count_at(2.0) == 2
-        assert [seq.count_at(1.5), seq.count_at(10.0)] == [1, 3]
-
     def test_empty_path(self):
         p = ModelParams(1e-6, 0.1, 0.5, 1.0)
         seq = simulate_thinning(p, 0.01, seed=1)
         assert len(seq) == 0
-        assert seq.count_at(0.01) == 0
-
-
-class TestPoissonReference:
-    def test_counts_distribution(self):
-        n = 4000
-        counts = np.array(
-            [len(simulate_poisson(1.0, 5.0, seed=100, replica=r)) for r in range(n)]
-        )
-        # exact Poisson(5) law
-        ks = np.arange(0, counts.max() + 1)
-        pmf = poisson.pmf(ks, 5.0)
-        obs = np.bincount(counts, minlength=ks.size)[: ks.size]
-        tv = 0.5 * (np.abs(obs / n - pmf).sum() + (1 - pmf.sum()))
-        assert tv < 0.05
-        assert abs(counts.mean() - 5.0) < 3.0 * counts.std() / math.sqrt(n)
-        assert abs(counts.var() - 5.0) < 0.4
-
-    def test_seed_determinism(self):
-        a = simulate_poisson(1.0, 10.0, seed=7, replica=2)
-        b = simulate_poisson(1.0, 10.0, seed=7, replica=2)
-        np.testing.assert_array_equal(a.epochs, b.epochs)
 
 
 class TestThinning:
@@ -149,9 +119,10 @@ class TestThinning:
         b = simulate_thinning(P_STRONG, 10.0, seed=7, replica=3)
         np.testing.assert_array_equal(a.epochs, b.epochs)
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 25)
         with pytest.raises(BudgetError):
-            simulate_thinning(P_STRONG, 200.0, seed=1, max_events=25)
+            simulate_thinning(P_STRONG, 200.0, seed=1)
 
     def test_subcritical_stress(self):
         p = ModelParams(1.0, 0.9, 0.5, 1.0)
@@ -211,31 +182,23 @@ class TestCluster:
 
 
 class TestExpHawkes:
+    # the exp_hawkes engine thins the kernel gamma*exp(-gamma*t) whatever
+    # beta its parameters carry
     def test_alpha_zero_poisson_counts(self):
-        counts = np.array(
-            [
-                len(simulate_exp_hawkes(1.0, 0.0, 1.0, 10.0, seed=41, replica=r))
-                for r in range(3000)
-            ]
-        )
+        counts = _counts("exp_hawkes", 3000, ModelParams(1.0, 0.0, 0.5, 1.0), 10.0, 41)
         se = counts.std() / math.sqrt(counts.size)
         assert abs(counts.mean() - 10.0) < 3.0 * se
 
     def test_mean_matches_beta_one_formula(self):
-        p = ModelParams(1.0, 0.5, 1.0, 1.0)
-        counts = np.array(
-            [
-                len(simulate_exp_hawkes(1.0, 0.5, 1.0, 10.0, seed=42, replica=r))
-                for r in range(4000)
-            ]
-        )
+        counts = _counts("exp_hawkes", 4000, ModelParams(1.0, 0.5, 0.5, 1.0), 10.0, 42)
         se = counts.std() / math.sqrt(counts.size)
-        assert abs(counts.mean() - expected_n(10.0, p)) < 3.0 * se
+        ref = expected_n(10.0, ModelParams(1.0, 0.5, 1.0, 1.0))
+        assert abs(counts.mean() - ref) < 3.0 * se
 
     def test_jump_size_at_events(self):
         # kernel value at lag 0+ is gamma, so the intensity jumps by alpha*gamma
         p = ModelParams(1.0, 0.5, 1.0, 2.0)
-        seq = simulate_exp_hawkes(1.0, 0.5, 2.0, 20.0, seed=43)
+        seq = _sampler("exp_hawkes", ModelParams(1.0, 0.5, 0.7, 2.0), 20.0)(43)
         t1 = seq.epochs[0]
         before = intensity(t1, seq, p)
         after = intensity(t1 + 1e-12, seq, p)
@@ -255,14 +218,27 @@ class TestStreams:
         sims = {
             "thinning": lambda r: simulate_thinning(P_STRONG, 10.0, 11, r),
             "cluster": lambda r: simulate_cluster(P_STRONG, 10.0, 11, r),
-            "exp_hawkes": lambda r: simulate_exp_hawkes(1.0, 0.5, 1.0, 10.0, 11, r),
-            "poisson": lambda r: simulate_poisson(1.0, 10.0, 11, r),
+            "exp_hawkes": lambda r: _sampler("exp_hawkes", P_STRONG, 10.0)(11, r),
         }
         for engine, sim in sims.items():
             rows = count_matrix(P_STRONG, times, 4, 11, engine)
             for r in range(4):
-                seq = sim(r)
-                assert rows[r].tolist() == [seq.count_at(t) for t in times]
+                counts = np.searchsorted(sim(r).epochs, times, side="right")
+                assert rows[r].tolist() == counts.tolist()
+
+    def test_stream_keys_are_pinned(self):
+        # the keys of the engines' streams; renumbering one would move every
+        # seeded result, the validation report's included
+        for engine, key in (("thinning", 0), ("cluster", 1), ("exp_hawkes", 3)):
+            bits = np.random.Philox(np.random.SeedSequence((5, key, 2)))
+            np.testing.assert_array_equal(
+                replica_stream(5, engine, 2).random(8),
+                np.random.Generator(bits).random(8),
+            )
+        with pytest.raises(DomainError):
+            replica_stream(5, "poisson", 2)
+        with pytest.raises(DomainError):
+            count_matrix(P_WEAK, [1.0], 1, 5, "poisson")
 
     def test_order_insensitive(self):
         late = replica_stream(9, "thinning", 500).random(3)
@@ -313,8 +289,7 @@ class TestFiniteInputs:
         for call in (
             lambda: simulate_thinning(P_WEAK, horizon, seed=1),
             lambda: simulate_cluster(P_WEAK, horizon, seed=1),
-            lambda: simulate_exp_hawkes(1.0, 0.5, 1.0, horizon, seed=1),
-            lambda: simulate_poisson(1.0, horizon, seed=1),
+            lambda: count_matrix(P_WEAK, [horizon], 1, 1, "exp_hawkes"),
         ):
             with pytest.raises(DomainError):
                 call()
@@ -333,8 +308,8 @@ class TestFiniteInputs:
         p = ModelParams(1, 0.5, 1, 1)
         assert all(type(v) is float for v in (p.lambda0, p.beta, p.gamma))
         assert type(MLKernelParams(1, 2).gamma) is float
-        seq = simulate_exp_hawkes(1.0, 0.5, 1, 10.0, 1)
-        ref = simulate_exp_hawkes(1.0, 0.5, 1.0, 10.0, 1)
+        seq = _sampler("exp_hawkes", p, 10)(1)
+        ref = _sampler("exp_hawkes", ModelParams(1.0, 0.5, 1.0, 1.0), 10.0)(1)
         np.testing.assert_array_equal(seq.epochs, ref.epochs)
         path = simulate_thinning(p, 10, 1)
         np.testing.assert_array_equal(
@@ -355,20 +330,11 @@ class TestFiniteInputs:
     def test_poisson_mean_past_numpy_range(self):
         # numpy's Poisson sampler rejects means above about 9.2e18
         with pytest.raises(DomainError, match="Poisson mean"):
-            simulate_poisson(1e19, 1.0, 1)
-        with pytest.raises(DomainError, match="Poisson mean"):
             simulate_cluster(ModelParams(1e10, 0.1, 0.5, 1.0), 1e10, 1)
 
     def test_cluster_budget_checked_before_immigrants_drawn(self):
         with pytest.raises(BudgetError):
             simulate_cluster(ModelParams(1e12, 0.1, 0.5, 1.0), 1.0, 1)
-
-    def test_poisson_budget_checked_before_epochs_drawn(self):
-        # the count is drawn first; 1e12 uniforms would need 7.3 TiB
-        with pytest.raises(BudgetError):
-            simulate_poisson(1e12, 1.0, 1)
-        with pytest.raises(BudgetError):
-            count_matrix(ModelParams(1e12, 0.1, 0.5, 1.0), [1.0], 1, 1, "poisson")
 
 
 # beta stops at 0.9999 (or is exactly 1): above 1 - 1e-10 the kernel density
