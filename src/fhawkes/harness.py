@@ -20,7 +20,7 @@ from scipy.special import chdtrc, gammaln, xlogy
 from .analytics import ModelParams, lambda_image
 from .errors import DomainError
 from .laplace import LaplaceImage, ilt_grid
-from .simulate import _sampler
+from .simulate import _count_rows
 
 __all__ = [
     "CountDistribution",
@@ -123,23 +123,28 @@ def count_matrix(
     :func:`~fhawkes.simulate.simulate_cluster` draw it, ``"exp_hawkes"`` the
     exponential-kernel process with ``p``'s ``lambda0``, ``alpha`` and
     ``gamma``.  The thinning kernel is built and certified once for all rows.
+    The two thinning engines advance blocks of up to 512 rows in lockstep,
+    one vector step per proposal, while at least K = 16 rows of a block are
+    active; the rest finish one by one in the scalar loop.  Each row is the
+    same path whatever ``replicas`` is, so ``count_matrix(p, times, R,
+    seed)[:r]`` equals ``count_matrix(p, times, r, seed)``.
 
     Raises
     ------
     DomainError
         If ``times`` is empty or has a negative time, if ``replicas`` is
         negative, or for an unknown engine.
+    BudgetError
+        If a path passes ``DEFAULT_MAX_EVENTS`` events, or, for the thinning
+        engines, before any drawing when ``lambda0 * max(times)`` makes that
+        certain.
     """
     times = np.asarray(times, dtype=float)
     if not (times.size > 0 and times.min() >= 0.0 and replicas >= 0):
         raise DomainError(
             "count_matrix needs at least one time, all times >= 0 and replicas >= 0"
         )
-    draw = _sampler(engine, p, float(times.max()))
-    out = np.empty((replicas, times.size), dtype=np.int64)
-    for r in range(replicas):
-        out[r] = np.searchsorted(draw(seed, r).epochs, times, side="right")
-    return out
+    return _count_rows(engine, p, times, replicas, seed)
 
 
 def expected_n_ilt_curve(p: ModelParams, times):

@@ -2,6 +2,7 @@
 determinism, and budget behavior."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,32 @@ class TestStreams:
             for r in range(4):
                 counts = np.searchsorted(sim(r).epochs, times, side="right")
                 assert rows[r].tolist() == counts.tolist()
+        # a batch wider than 2K runs in lockstep, then hands its last paths
+        # to the scalar loop; counts at every epoch and at the float below
+        # it pin each row's epochs exactly (rows 0, K and the last among them)
+        wide = 2 * simulate._LOCKSTEP_MIN + 1
+        for engine in ("thinning", "exp_hawkes"):
+            paths = {r: sims[engine](r).epochs for r in range(wide)}
+            epochs = np.concatenate(list(paths.values()))
+            times = np.concatenate([epochs, np.nextafter(epochs, 0.0), [10.0]])
+            rows = count_matrix(P_STRONG, times, wide, 11, engine)
+            for r, path in paths.items():
+                counts = np.searchsorted(path, times, side="right")
+                assert rows[r].tolist() == counts.tolist()
+
+    @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes"])
+    def test_count_matrix_is_independent_of_width(self, engine, monkeypatch):
+        k = simulate._LOCKSTEP_MIN
+        full = count_matrix(P_STRONG, (1.0, 5.0, 10.0), 2 * k + 3, 13, engine)
+        for r in (1, k - 1, k, k + 1, 2 * k + 1):
+            np.testing.assert_array_equal(
+                full[:r], count_matrix(P_STRONG, (1.0, 5.0, 10.0), r, 13, engine)
+            )
+        # blocks of k + 1, k + 1 and 1 replicas: two in lockstep, one scalar
+        monkeypatch.setattr(simulate, "_LOCKSTEP_BLOCK", k + 1)
+        np.testing.assert_array_equal(
+            full, count_matrix(P_STRONG, (1.0, 5.0, 10.0), 2 * k + 3, 13, engine)
+        )
 
     def test_stream_keys_are_pinned(self):
         # the keys of the engines' streams; renumbering one would move every
@@ -244,6 +271,107 @@ class TestStreams:
         late = replica_stream(9, "thinning", 500).random(3)
         again = replica_stream(9, "thinning", 500).random(3)
         np.testing.assert_array_equal(late, again)
+
+
+# count_matrix(P_STRONG, (1, 5, 10), 33, 11, engine) as the one-replica-at-
+# a-time thinning loop drew it before the lockstep engine
+GOLDEN_COUNTS = {
+    "thinning": [
+        [1, 7, 22], [0, 4, 16], [0, 4, 15], [0, 8, 15], [1, 18, 35], [0, 20, 37],
+        [0, 10, 16], [2, 5, 6], [0, 6, 13], [0, 7, 14], [3, 13, 25], [1, 3, 3],
+        [1, 4, 12], [2, 9, 26], [0, 4, 16], [1, 5, 11], [0, 6, 16], [0, 4, 11],
+        [1, 7, 16], [1, 10, 15], [6, 8, 16], [0, 3, 10], [2, 13, 24], [1, 5, 13],
+        [1, 11, 23], [1, 10, 16], [1, 7, 18], [1, 12, 21], [0, 7, 15], [0, 7, 24],
+        [3, 8, 16], [2, 6, 18], [0, 4, 12],
+    ],
+    "exp_hawkes": [
+        [0, 1, 31], [2, 6, 11], [0, 6, 14], [0, 8, 13], [1, 3, 22], [0, 6, 9],
+        [1, 9, 12], [0, 8, 17], [0, 6, 12], [3, 8, 25], [1, 9, 16], [0, 16, 31],
+        [1, 11, 20], [1, 7, 13], [2, 7, 17], [0, 7, 17], [0, 5, 22], [0, 8, 16],
+        [0, 8, 19], [1, 5, 12], [1, 7, 15], [1, 8, 15], [2, 13, 21], [0, 11, 27],
+        [0, 2, 14], [1, 7, 17], [1, 18, 38], [1, 9, 24], [4, 24, 38], [1, 6, 12],
+        [0, 4, 13], [0, 4, 5], [2, 3, 10],
+    ],
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes"])
+    def test_golden_counts(self, engine):
+        golden = GOLDEN_COUNTS[engine]
+        assert len(golden) > 2 * simulate._LOCKSTEP_MIN
+        for replicas in (3, len(golden)):
+            got = count_matrix(P_STRONG, (1.0, 5.0, 10.0), replicas, 11, engine)
+            assert got.tolist() == golden[:replicas]
+
+    def test_steps_below_one_ulp(self):
+        # every 16th step is 1e-300: accepted, it would repeat the last
+        # epoch unless moved to the next float; lockstep and scalar loop
+        # must move it alike
+        class TinySteps:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_exponential(self, n):
+                steps = self.rng.standard_exponential(n)
+                steps[::16] = 1e-300
+                return steps
+
+            def random(self, n):
+                return self.rng.random(n)
+
+        rates, weights = _exp_mixture(P_STRONG.kernel(), 5.0)
+        jumps = P_STRONG.alpha * weights
+        wide = 2 * simulate._LOCKSTEP_MIN + 1
+        draws = [simulate._proposal_draws(TinySteps(r)) for r in range(wide)]
+        paths = [simulate._thin(1.0, rates, jumps, 5.0, d) for d in draws]
+        epochs = np.concatenate(paths)
+        assert all(np.all(np.diff(path) > 0.0) for path in paths)
+        assert np.any(np.diff(paths[0]) <= np.spacing(paths[0][1:]))
+        times = np.concatenate([epochs, np.nextafter(epochs, 0.0), [5.0]])
+        got = simulate._thin_lockstep(1.0, rates, jumps, times,
+                                      [TinySteps(r) for r in range(wide)])
+        want = [np.searchsorted(path, times, side="right") for path in paths]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes"])
+    def test_budget_error_in_lockstep(self, engine, monkeypatch):
+        # lambda0 * H = 20 is far below the up-front threshold for 25
+        # events (about 82); the scalar loop is barred, so the error comes
+        # from the lockstep phase
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 25)
+
+        def no_scalar(*args):
+            raise AssertionError("handed off before the budget was passed")
+
+        monkeypatch.setattr(simulate, "_thin", no_scalar)
+        with pytest.raises(BudgetError, match="exceeded 25 events by t="):
+            count_matrix(P_STRONG, [20.0], 2 * simulate._LOCKSTEP_MIN + 1, 3, engine)
+
+
+class TestBudgetUpFront:
+    def test_certain_overrun_raises_before_drawing(self):
+        # 1e8 expected immigrants against a budget of 1e7 events
+        p = ModelParams(1e8, 0.1, 0.5, 1.0)
+        for call in (
+            lambda: simulate_thinning(p, 1.0, 1),
+            lambda: count_matrix(p, [1.0], 3, 1, "exp_hawkes"),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(BudgetError, match="passes 10000000 events"):
+                call()
+            assert time.perf_counter() - start < 1.0
+
+    def test_threshold(self, monkeypatch):
+        # for 100 events the Chernoff bound reaches 1e-12 at a mean of
+        # about 194: above it nothing is drawn, below it the path is drawn
+        # and overruns in the thinning loop
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 100)
+        with pytest.raises(BudgetError, match="passes 100 events"):
+            simulate_thinning(ModelParams(200.0, 0.1, 0.5, 1.0), 1.0, 1)
+        with pytest.raises(BudgetError, match="exceeded 100 events by t="):
+            simulate_thinning(ModelParams(190.0, 0.1, 0.5, 1.0), 1.0, 1)
+        assert len(simulate_thinning(ModelParams(50.0, 0.1, 0.5, 1.0), 1.0, 1)) < 100
 
 
 class TestKernelMixture:
