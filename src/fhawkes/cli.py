@@ -48,16 +48,33 @@ def _model_options(fn):
 
 
 def _resolve_params(config, **flags) -> ModelParams:
+    """Model parameters from the config file, overridden by the flags; a
+    config file that is not a JSON object, or a value that is not a number,
+    is a usage error."""
     values = {}
     if config:
-        values.update(json.loads(pathlib.Path(config).read_text()))
+        try:
+            loaded = json.loads(pathlib.Path(config).read_text())
+        except ValueError as exc:
+            raise click.UsageError(f"cannot parse --config {config}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise click.UsageError(f"--config {config} must hold a JSON object")
+        values.update(loaded)
     for key in _MODEL_FLAGS:
         if flags.get(key) is not None:
             values[key] = flags[key]
     missing = [k for k in _MODEL_FLAGS if k not in values]
     if missing:
         raise click.UsageError(f"missing model parameters: {', '.join(missing)}")
-    return ModelParams(**{k: float(values[k]) for k in _MODEL_FLAGS})
+    numbers = {}
+    for key in _MODEL_FLAGS:
+        try:
+            numbers[key] = float(values[key])
+        except (TypeError, ValueError) as exc:
+            raise click.UsageError(
+                f"model parameter {key} must be a number, got {values[key]!r}"
+            ) from exc
+    return ModelParams(**numbers)
 
 
 @click.group(name="fhawkes")

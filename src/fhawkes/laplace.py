@@ -13,7 +13,9 @@ to a finite interval in which a ``t**(p-1)`` head and a ``t**(-1-p)`` tail
 are smooth.  Each part goes to an adaptive Gauss-Kronrod (G10/K21) rule
 with QUADPACK's global error control, which evaluates the integrand once
 per round, as one array, on the nodes of every new panel; so the integrand
-must be vectorised.
+must be vectorised.  Several transform variables ``s`` share one adaptive
+mesh: the original is evaluated once per node for all of them, and each
+transform is held to its own tolerance.
 """
 
 from __future__ import annotations
@@ -162,40 +164,49 @@ _GK_DIFF[11:20:2] -= _GK_WG[::-1]
 
 
 def _gk_quad(fn, a, b):
-    """Adaptive G10/K21 quadrature of a vectorised integrand on ``[a, b]``.
+    """Adaptive G10/K21 quadrature of ``m`` integrands on one shared mesh
+    of ``[a, b]``.
 
-    Each round calls ``fn`` once, on the nodes of every new panel.  Error
-    control is global, as in QUADPACK: stop when the summed ``|Kronrod -
-    Gauss|`` is at most ``max(_EPSABS, _EPSREL*|I|)``; otherwise bisect the
-    largest-error panels until the others sum to at most half of that.
-    Returns ``(value, error_estimate)``.
+    ``fn`` maps the nodes of a round, a 1-d array, to an ``(m, n)`` array
+    (or to ``n`` values when ``m = 1``); each round calls it once, on the
+    nodes of every new panel.  Error control is global, as in QUADPACK, and
+    per component: integrand ``j`` is done when its summed ``|Kronrod -
+    Gauss|`` is at most ``tol_j = max(_EPSABS, _EPSREL*|I_j|)``, and the
+    integration stops when every component is.  Otherwise the panels are
+    bisected in descending order of their largest error relative to
+    ``tol_j`` until, in every component, the others sum to at most half of
+    ``tol_j``.  For ``m = 1`` this is QUADPACK's rule.  Returns
+    ``(values, error_estimates)``, two arrays of length ``m``.
 
     Raises
     ------
     QuadratureError
-        If the integrand is not finite on a node, or the panel count would
+        If an integrand is not finite on a node, or the panel count would
         pass ``_LIMIT``.
     """
     lo = np.array([a], dtype=float)
     hi = np.array([b], dtype=float)
     new = np.array([0])
-    vals = np.empty(1)
-    errs = np.empty(1)
+    vals = errs = None
     while True:
         half = 0.5 * (hi[new] - lo[new])
         nodes = (lo[new] + half)[:, None] + half[:, None] * _GK_NODES
-        y = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        y = np.asarray(fn(nodes.ravel()), dtype=float).reshape(-1, _GK_NODES.size)
         if not np.isfinite(y).all():
             raise QuadratureError(f"integrand is not finite on [{a:g}, {b:g}]")
-        vals[new] = half * (y @ _GK_KRONROD)
-        errs[new] = np.abs(half * (y @ _GK_DIFF))
-        value, error = float(vals.sum()), float(errs.sum())
-        tol = max(_EPSABS, _EPSREL * abs(value))
-        if error <= tol:
+        if vals is None:
+            vals = np.empty((y.shape[0] // new.size, 1))
+            errs = np.empty_like(vals)
+        vals[:, new] = half * (y @ _GK_KRONROD).reshape(-1, new.size)
+        errs[:, new] = np.abs(half * (y @ _GK_DIFF).reshape(-1, new.size))
+        value, error = vals.sum(axis=1), errs.sum(axis=1)
+        tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
+        if (error <= tol).all():
             return value, error
-        order = np.argsort(errs)[::-1]
-        rest = error - np.cumsum(errs[order])
-        split = order[: int(np.argmax(rest <= 0.5 * tol)) + 1]
+        order = np.argsort((errs / tol[:, None]).max(axis=0))[::-1]
+        rest = error[:, None] - np.cumsum(errs[:, order], axis=1)
+        done = (rest <= 0.5 * tol[:, None]).all(axis=0)
+        split = order[: int(np.argmax(done)) + 1]
         if lo.size + split.size > _LIMIT:
             raise QuadratureError(
                 f"quadrature on [{a:g}, {b:g}] needs more than {_LIMIT} panels"
@@ -205,19 +216,24 @@ def _gk_quad(fn, a, b):
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([hi, hi[split]])
         hi[split] = mid
-        vals = np.concatenate([vals, np.empty(split.size)])
-        errs = np.concatenate([errs, np.empty(split.size)])
+        grow = np.empty((vals.shape[0], split.size))
+        vals = np.concatenate([vals, grow], axis=1)
+        errs = np.concatenate([errs, grow], axis=1)
 
 
 def _half_line(f, s, p):
-    """``int_0^inf exp(-s*t) f(t) dt`` for ``s >= 0`` as two finite
-    integrals in ``u``: the head ``(0, 1)`` through ``t = u**(1/p)`` and
-    the tail ``[1, inf)`` through ``t = u**(-1/p)``.
+    """``int_0^inf exp(-s*t) f(t) dt`` for every ``s >= 0`` of a scalar or
+    1-d ``s``, as two finite integrals in ``u``: the head ``(0, 1)`` through
+    ``t = u**(1/p)`` and the tail ``[1, inf)`` through ``t = u**(-1/p)``.
 
     With ``p`` the exponent of a ``t**(p-1)`` singularity at the origin and
     of a ``t**(-1-p)`` decay, both integrands are smooth and finite in
-    ``u``.  Returns ``(value, summed error estimate)``.
+    ``u``.  Each part integrates all the ``s`` on one shared mesh, so ``f``
+    is evaluated once per node whatever the number of ``s``, and each
+    ``s`` meets its own tolerance.  Returns ``(values, summed error
+    estimates)``, two arrays with one entry per ``s``.
     """
+    s = np.asarray(s, dtype=float).reshape(-1, 1)
 
     def head(u):
         t = u ** (1.0 / p)
@@ -233,21 +249,34 @@ def _half_line(f, s, p):
     return v1 + v2, e1 + e2
 
 
+def _check_errors(errors):
+    """Raise :class:`QuadratureError` if a summed error estimate of
+    ``_half_line`` exceeds 1e-8, the most a returned transform may carry."""
+    if errors.max() > 1e-8:
+        raise QuadratureError(
+            f"forward transform error estimate {errors.max():.2e} exceeds 1e-8"
+        )
+
+
 def forward_lt(
     f: Callable[[np.ndarray], np.ndarray],
-    s: float,
+    s,
     *,
     singular_exponent: float | None = None,
-) -> float:
+):
     """Laplace transform ``int_0^inf exp(-s*t) f(t) dt`` by adaptive
     Gauss-Kronrod quadrature (tolerance 1e-10, absolute and relative).
 
-    ``f`` takes an array of times and returns an array of values.
-    ``singular_exponent=p`` declares a ``t**(p-1)`` singularity at the
-    origin, removed by substituting ``t = u**(1/p)`` on ``(0, 1)``; the
-    tail ``[1, inf)`` is integrated in ``t = u**(-1/p)`` on ``(0, 1]``,
-    which maps a ``t**(-1-p)`` decay to a smooth integrand (``p = 1`` when
-    no exponent is given).  Each part may use at most 200 panels.
+    ``f`` takes an array of times and returns an array of values.  ``s``
+    is a scalar, which returns a float, or a 1-d array, which returns an
+    array of the transforms: all of them come from one shared mesh, on
+    which ``f`` is evaluated once per node, and each meets its own
+    tolerance.  ``singular_exponent=p`` declares a ``t**(p-1)``
+    singularity at the origin, removed by substituting ``t = u**(1/p)`` on
+    ``(0, 1)``; the tail ``[1, inf)`` is integrated in ``t = u**(-1/p)`` on
+    ``(0, 1]``, which maps a ``t**(-1-p)`` decay to a smooth integrand
+    (``p = 1`` when no exponent is given).  Each part may use at most 200
+    panels.
 
     An endpoint singularity must be declared through ``singular_exponent``:
     the rule has no extrapolation, and the Kronrod-Gauss estimate on the
@@ -258,21 +287,20 @@ def forward_lt(
     Raises
     ------
     DomainError
-        If ``s`` is not positive and finite, or ``singular_exponent`` is
-        not in (0, 1].
+        If ``s`` is neither a scalar nor a nonempty 1-d array, an entry of
+        ``s`` is not positive and finite, or ``singular_exponent`` is not in
+        (0, 1].
     QuadratureError
         If the integrand is not finite on a node, either part does not meet
-        tolerance within 200 panels, or the summed error estimate exceeds
+        tolerance within 200 panels, or a summed error estimate exceeds
         1e-8.
     """
-    if not 0.0 < s < math.inf:
+    sv = np.asarray(s, dtype=float)
+    if sv.ndim > 1 or sv.size == 0 or not ((sv > 0.0) & (sv < math.inf)).all():
         raise DomainError("forward transform requires a finite s > 0")
     p = 1.0 if singular_exponent is None else singular_exponent
     if not 0.0 < p <= 1.0:
         raise DomainError("singular_exponent must lie in (0, 1]")
-    value, error = _half_line(f, s, p)
-    if error > 1e-8:
-        raise QuadratureError(
-            f"forward transform error estimate {error:.2e} exceeds 1e-8"
-        )
-    return value
+    values, errors = _half_line(f, sv, p)
+    _check_errors(errors)
+    return float(values[0]) if sv.ndim == 0 else values

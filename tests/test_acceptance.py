@@ -10,8 +10,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from fhawkes import DomainError, ml_density
 from fhawkes import validation as v
 
 _CFG = v.ValidationConfig(seed=20240801, smoke=False)
@@ -62,3 +64,30 @@ def test_criterion_c12_determinism(tmp_path):
     same = v._canonical(reports[0]) == v._canonical(reports[1])
     print(f"\nACCEPTANCE c12 [{'PASS' if same else 'FAIL'}] seeded determinism")
     assert same
+
+
+def test_c02_evaluates_each_kernel_on_one_mesh(monkeypatch):
+    """c02 integrates the mass and its three transforms on one shared mesh
+    per kernel: 165 density calls on 6300 points, where one mesh per
+    integrand took 414 calls on 14868 points."""
+    calls = []
+
+    def counted(t, k):
+        calls.append(np.size(t))
+        return ml_density(t, k)
+
+    monkeypatch.setattr(v, "ml_density", counted)
+    rec = v.c02_kernel_transform(_CFG)
+    assert rec["passed"], rec
+    assert len(calls) <= 200 and sum(calls) <= 7000, (len(calls), sum(calls))
+    assert all(type(x) is float for x in rec["details"].values())
+
+
+def test_negative_seed_raises_before_any_criterion(monkeypatch):
+    def no_criteria(cfg):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(v, "_records", no_criteria)
+    for seed in (-1, -100):
+        with pytest.raises(DomainError, match="seed"):
+            v.run_validation(smoke=True, seed=seed)

@@ -261,6 +261,29 @@ class TestConfigFile:
         b = read_curves_csv(out2)["exact"]
         assert np.all(b > a)  # stronger excitation raises the curve
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1.0, 0.1, 0.5, 0.8]", "JSON object"),
+            ('{"lambda0": 1, "alpha": "strong", "beta": 0.5, "gamma": 0.8}',
+             "alpha must be a number"),
+            ('{"lambda0": 1, "alpha": ', "cannot parse"),
+        ],
+        ids=["array", "non-numeric", "unparsable"],
+    )
+    def test_malformed_config_is_usage_error(self, monkeypatch, capsys, tmp_path,
+                                             text, message):
+        cfgfile = tmp_path / "model.json"
+        cfgfile.write_text(text)
+        code, err = _exit_code(
+            monkeypatch, capsys, "lambda", "--config", str(cfgfile),
+            "--out", str(tmp_path / "lam.csv"),
+        )
+        assert code == 1
+        assert err.startswith("usage error: ") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "lam.csv").exists()
+
     def test_missing_model_is_usage_error(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "fhawkes.cli", "lambda", "--out",
@@ -299,6 +322,13 @@ class TestValidateCmd:
         )
         assert proc.returncode == 2
         assert "numerical failure" in proc.stderr
+
+    def test_negative_seed_is_numerical_failure(self, monkeypatch, capsys):
+        code, err = _exit_code(
+            monkeypatch, capsys, "validate", "--smoke", "--seed", "-100"
+        )
+        assert code == 2
+        assert "numerical failure" in err and "seed" in err
 
     def test_criteria_failure_exit_code(self, runner, monkeypatch):
         import fhawkes.cli as climod

@@ -20,6 +20,7 @@ from fhawkes import (
     ilt_grid,
     ml_density,
 )
+from fhawkes.laplace import _EPSABS, _EPSREL, _gk_quad
 
 PAIRS = [
     # image, original, sigma0
@@ -27,6 +28,22 @@ PAIRS = [
     (lambda s: 1.0 / s ** 2, lambda t: t, 0.0),
     (lambda s: 1.0 / (s + 1.0), lambda t: np.exp(-t), -1.0),
     (lambda s: 1.0 / (s ** 2 + 1.0), lambda t: np.sin(t), 0.0),
+]
+
+# forward_lt(ml_density, s, singular_exponent=beta) as (beta, gamma, s,
+# value), printed by the per-s integrator that preceded the shared mesh: a
+# scalar s must still give these bits
+SCALAR_GOLDEN = [
+    (0.5, 1.0, 1.0, "0x1.0000000000000p-1"),
+    (0.9, 1.7, 2.0, "0x1.e8282fd3b7694p-2"),
+    (0.3, 0.1, 0.1, "0x1.54a8c577a2d2ap-3"),
+    (0.3, 0.1, 10.0, "0x1.86fa303f9660ap-5"),
+    (0.3, 1.7, 0.1, "0x1.8b6c47f4ff7a5p-1"),
+    (0.3, 1.7, 10.0, "0x1.d716f64e72559p-2"),
+    (0.99, 0.1, 0.1, "0x1.fa1b0b64827a5p-2"),
+    (0.99, 0.1, 10.0, "0x1.4bea8a4cf7b0dp-7"),
+    (0.99, 1.7, 0.1, "0x1.e2ee3ce5a5e97p-1"),
+    (0.99, 1.7, 10.0, "0x1.2f7a1661e5e23p-3"),
 ]
 
 # image with a pole right of zero: the original grows, the abscissa moves
@@ -164,6 +181,11 @@ class TestForwardLt:
         for s in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 forward_lt(lambda t: np.ones_like(t), s)
+            with pytest.raises(DomainError):
+                forward_lt(lambda t: np.ones_like(t), [1.0, s, 2.0])
+        for s in ([[1.0, 2.0]], []):
+            with pytest.raises(DomainError):
+                forward_lt(lambda t: np.ones_like(t), s)
         for p in (0.0, math.nan, 1.5):
             with pytest.raises(DomainError):
                 forward_lt(np.exp, 1.0, singular_exponent=p)
@@ -182,3 +204,53 @@ class TestForwardLt:
         with pytest.raises(QuadratureError, match="not finite"):
             forward_lt(f, 1.0)
         assert calls == [21]
+
+    @pytest.mark.parametrize("beta,gamma,s,golden", SCALAR_GOLDEN)
+    def test_scalar_s_bits_unchanged(self, beta, gamma, s, golden):
+        k = MLKernelParams(beta, gamma)
+        got = forward_lt(lambda t: ml_density(t, k), s, singular_exponent=beta)
+        assert type(got) is float
+        assert got == float.fromhex(golden)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_array_s_matches_per_s_calls(self, beta):
+        # the shared mesh differs from each per-s mesh, so the values agree
+        # to the quadrature's own accuracy (tolerance 1e-10): the gap peaks
+        # at 1.3e-12, at beta = 0.99
+        k = MLKernelParams(beta, 1.0)
+        f = lambda t: ml_density(t, k)
+        s = np.array([0.1, 1.0, 10.0])
+        got = forward_lt(f, s, singular_exponent=beta)
+        per = [forward_lt(f, si, singular_exponent=beta) for si in s]
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, per, rtol=0, atol=2e-12)
+        np.testing.assert_allclose(got, 1.0 / (1.0 + s ** beta), rtol=0, atol=1e-9)
+
+    def test_each_component_meets_its_tolerance(self):
+        # integrands of very different sizes on one mesh: each one's error
+        # is held to its own tolerance, not to the largest one's
+        scale = np.array([[1e-3], [1.0], [1e4]])
+        freq = np.array([[40.0], [5.0], [0.0]])
+        fn = lambda u: scale * np.sqrt(u) * np.cos(freq * u)
+
+        values, errors = _gk_quad(fn, 0.0, 1.0)
+        assert np.all(errors <= np.maximum(_EPSABS, _EPSREL * np.abs(values)))
+        for j in range(3):
+            ref, _ = quad(lambda u: scale[j, 0] * math.sqrt(u) * math.cos(freq[j, 0] * u),
+                          0.0, 1.0, epsabs=1e-16, epsrel=1e-13, limit=200)
+            assert abs(values[j] - ref) <= max(_EPSABS, _EPSREL * abs(ref))
+
+    def test_nonfinite_integrand_raises_at_once_for_array_s(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.where(t > 0.5, np.nan, 1.0)
+
+        with pytest.raises(QuadratureError, match="not finite"):
+            forward_lt(f, [0.5, 1.0, 2.0])
+        assert calls == [21]
+
+    def test_panel_limit_for_array_s(self):
+        with pytest.raises(QuadratureError, match="panels"):
+            forward_lt(lambda t: np.sin(np.exp(t * 12.0)) * 1e6, [1e-4, 1.0])
