@@ -72,17 +72,33 @@ def _times(t, quantity):
     return t_arr
 
 
-def lambda_image(p: ModelParams) -> LaplaceImage:
+def lambda_image(*ps: ModelParams) -> LaplaceImage:
     """Laplace image of the expected intensity:
     ``(lambda0/s) * (gamma + s**beta) / ((1-alpha)*gamma + s**beta)`` with
-    the principal branch of ``s**beta``; abscissa 0."""
+    the principal branch of ``s**beta``; abscissa 0.
 
-    lam0, al, be, ga = p.lambda0, p.alpha, p.beta, p.gamma
+    One parameter set gives one image.  Several give a family, whose
+    values on ``n`` nodes form an ``(m, n)`` array, one row per set in
+    order; ``s**beta`` is raised once per distinct ``beta``, and each row
+    has the bits of its own image.
+
+    Raises :class:`DomainError` when no parameter set is given.
+    """
+    if not ps:
+        raise DomainError("lambda_image needs at least one parameter set")
 
     def fn(s):
         s = np.asarray(s, dtype=complex)
-        sb = s ** be
-        return (lam0 / s) * (ga + sb) / ((1.0 - al) * ga + sb)
+        powers = {}
+        rows = []
+        for p in ps:
+            if p.beta not in powers:
+                powers[p.beta] = s ** p.beta
+            sb = powers[p.beta]
+            rows.append(
+                (p.lambda0 / s) * (p.gamma + sb) / ((1.0 - p.alpha) * p.gamma + sb)
+            )
+        return rows[0] if len(ps) == 1 else np.stack(rows)
 
     return LaplaceImage(fn, sigma0=0.0)
 

@@ -49,8 +49,9 @@ def _model_options(fn):
 
 def _resolve_params(config, **flags) -> ModelParams:
     """Model parameters from the config file, overridden by the flags; a
-    config file that is not a JSON object, or a value that is not a number,
-    is a usage error."""
+    config file that is not a JSON object or has a key that is not a model
+    flag, or a value that is not a number (JSON booleans included), is a
+    usage error."""
     values = {}
     if config:
         try:
@@ -59,6 +60,11 @@ def _resolve_params(config, **flags) -> ModelParams:
             raise click.UsageError(f"cannot parse --config {config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise click.UsageError(f"--config {config} must hold a JSON object")
+        unknown = sorted(set(loaded) - set(_MODEL_FLAGS))
+        if unknown:
+            raise click.UsageError(
+                f"--config {config} has unknown keys: {', '.join(unknown)}"
+            )
         values.update(loaded)
     for key in _MODEL_FLAGS:
         if flags.get(key) is not None:
@@ -69,6 +75,9 @@ def _resolve_params(config, **flags) -> ModelParams:
     numbers = {}
     for key in _MODEL_FLAGS:
         try:
+            # float() reads a JSON true or false as 1.0 or 0.0
+            if isinstance(values[key], bool):
+                raise TypeError
             numbers[key] = float(values[key])
         except (TypeError, ValueError) as exc:
             raise click.UsageError(

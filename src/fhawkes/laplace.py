@@ -6,7 +6,10 @@ frequencies ``(k - 1/2) * pi / t``, which turns the integral into an
 alternating series; the tail is resummed with Euler (binomial) averaging.
 The contour offset scales as ``sigma0 + 12/t`` so that the aliasing error
 of the periodized integral is ``~exp(-24)`` while the conditioning factor
-``exp((offset-sigma0)*t)`` stays bounded in ``t``.
+``exp((offset-sigma0)*t)`` stays bounded in ``t``.  The nodes at a time
+depend on ``t`` and the abscissa only, so a family of images with one
+abscissa, evaluated as one ``(m, n)`` array, is inverted on one contour per
+time: each image gets the same bits it gets alone.
 
 The forward transform splits the half line at ``t = 1`` and maps each part
 to a finite interval in which a ``t**(p-1)`` head and a ``t**(-1-p)`` tail
@@ -44,6 +47,10 @@ __all__ = [
 # the value by more than 10 * _TARGET_TOL, relative.
 _N_TERMS, _EULER_TERMS, _DECAY, _TARGET_TOL = 2000, 32, 24.0, 1e-6
 _EULER_WEIGHTS = comb(_EULER_TERMS, np.arange(_EULER_TERMS + 1)) * 0.5 ** _EULER_TERMS
+# the node indices k = 1, 2, ... as midpoints k - 1/2, and the signs (-1)^k
+_K_MID = np.arange(1, _N_TERMS + _EULER_TERMS + 1) - 0.5
+_SIGN = np.resize([-1.0, 1.0], _K_MID.size)
+_HALF = slice(_N_TERMS // 2 - 1, _N_TERMS // 2 + _EULER_TERMS)
 # The forward transform: tolerances and panel budget of each part.
 _EPSABS, _EPSREL, _LIMIT = 1e-10, 1e-10, 200
 
@@ -53,7 +60,9 @@ class LaplaceImage:
     """A function of the Laplace variable, evaluable on complex arrays.
 
     ``fn`` must be finite for ``Re(s) > sigma0`` (the convergence abscissa)
-    and deterministic.
+    and deterministic.  On a 1-d array of ``n`` nodes it returns ``n``
+    values, or an ``(m, n)`` array for a family of ``m`` images that share
+    ``sigma0``, one row per image.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -64,7 +73,8 @@ class LaplaceImage:
 
 
 class IltResult(NamedTuple):
-    """Inversion value with a node-doubling error estimate."""
+    """Inversion value with a node-doubling error estimate: floats, or
+    arrays of shape ``(m,)`` for a family of ``m`` images."""
 
     value: float
     error_estimate: float
@@ -73,19 +83,60 @@ class IltResult(NamedTuple):
         return self.value
 
 
-def _euler_sum(terms, n):
-    """Partial sum of an alternating series with Euler averaging of the last
-    ``_EULER_TERMS + 1`` partial sums, ending at index ``n + _EULER_TERMS``."""
-    csum = np.cumsum(terms[: n + _EULER_TERMS])
-    return float(_EULER_WEIGHTS @ csum[n - 1 :])
+def _invert(image, t):
+    """Values and node-doubling error estimates at one time ``t > 0``, of
+    shape ``()`` for one image and ``(m,)`` for a family: the image is
+    evaluated once, on the one node set of ``t``."""
+    offset = image.sigma0 + _DECAY / (2.0 * t)
+    omega = _K_MID * (math.pi / t)
+    vals = np.asarray(image(offset + 1j * omega))
+    if not np.isfinite(vals).all():
+        raise ContourError(
+            f"image evaluated non-finite on the contour at t={t!r}"
+        )
+    # midpoint nodes make exp(i*omega*t) = i*(-1)^(k-1): alternating series
+    csum = np.cumsum(vals.imag * _SIGN, axis=-1)
+    scale = math.exp(offset * t) / t
+    # Euler averaging of the last _EULER_TERMS + 1 partial sums ending at
+    # index n + _EULER_TERMS, for n = _N_TERMS and its half; each row goes
+    # through the 1-d dot product, whose bits a stacked (BLAS dgemv)
+    # product would not keep
+    values, errors = [], []
+    for j, row in enumerate(csum.reshape(-1, csum.shape[-1])):
+        full = scale * float(_EULER_WEIGHTS @ row[_N_TERMS - 1 :])
+        half = scale * float(_EULER_WEIGHTS @ row[_HALF])
+        est = abs(full - half)
+        rel = est / max(abs(full), 1e-300)
+        if rel > 10.0 * _TARGET_TOL:
+            where = f" in row {j}" if vals.ndim > 1 else ""
+            warnings.warn(
+                f"node doubling moved ilt(t={t:g}){where} by {rel:.2e} relative",
+                ConvergenceWarning,
+                stacklevel=3,
+            )
+        values.append(full)
+        errors.append(est)
+    lead = vals.shape[:-1]
+    return np.reshape(values, lead), np.reshape(errors, lead)
+
+
+def _positive_times(ts):
+    """``ts`` as a float array; raises DomainError unless every time is
+    positive and finite (NaN included)."""
+    ts = np.asarray(ts, dtype=float)
+    if not ((ts > 0.0) & (ts < math.inf)).all():
+        raise DomainError("inversion requires a finite t > 0")
+    return ts
 
 
 def ilt(image: LaplaceImage, t: float) -> IltResult:
     """Invert a Laplace image at a single positive time.
 
-    Returns an :class:`IltResult`; the error estimate comes from halving the
-    2000-term node count, and a :class:`ConvergenceWarning` is emitted when
-    doubling moves the value by more than 1e-5 (relative).
+    Returns an :class:`IltResult` of two floats, or of two arrays of shape
+    ``(m,)`` for a family of ``m`` images (see :class:`LaplaceImage`); the
+    error estimate comes from halving the 2000-term node count, and a
+    :class:`ConvergenceWarning` is emitted when doubling moves a value by
+    more than 1e-5 (relative).
 
     Raises
     ------
@@ -94,42 +145,41 @@ def ilt(image: LaplaceImage, t: float) -> IltResult:
     ContourError
         If the image evaluates non-finite on a contour node.
     """
-    if not 0.0 < t < math.inf:
-        raise DomainError("inversion requires a finite t > 0")
-    offset = image.sigma0 + _DECAY / (2.0 * t)
-
-    k = np.arange(1, _N_TERMS + _EULER_TERMS + 1)
-    omega = (k - 0.5) * (math.pi / t)
-    vals = np.asarray(image(offset + 1j * omega))
-    if not np.all(np.isfinite(vals)):
-        raise ContourError(
-            f"image evaluated non-finite on the contour at t={t!r}"
-        )
-    # midpoint nodes make exp(i*omega*t) = i*(-1)^(k-1): alternating series
-    terms = np.where(k % 2 == 1, -vals.imag, vals.imag)
-    scale = math.exp(offset * t) / t
-    full = scale * _euler_sum(terms, _N_TERMS)
-    half = scale * _euler_sum(terms, _N_TERMS // 2)
-    est = abs(full - half)
-    denom = max(abs(full), 1e-300)
-    if est / denom > 10.0 * _TARGET_TOL:
-        warnings.warn(
-            f"node doubling moved ilt(t={t:g}) by {est / denom:.2e} relative",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-    return IltResult(full, est)
+    value, est = _invert(image, float(_positive_times(t)))
+    if value.ndim == 0:
+        return IltResult(float(value), float(est))
+    return IltResult(value, est)
 
 
 def ilt_grid(image: LaplaceImage, ts):
-    """Invert at every grid time; returns ``(values, error_estimates)``."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.empty(ts.shape)
-    errors = np.empty(ts.shape)
-    for i, t in enumerate(ts.ravel()):
-        res = ilt(image, float(t))
-        values.ravel()[i] = res.value
-        errors.ravel()[i] = res.error_estimate
+    """Invert at every time of the array ``ts``; returns ``(values,
+    error_estimates)``, of shape ``ts.shape`` for one image and ``(m,) +
+    ts.shape`` for a family of ``m`` images.
+
+    Each time builds one contour, on which the image is called once: a
+    family shares the nodes, and each of its rows gets the bits that
+    inverting that image alone gives.  An empty ``ts`` calls the image
+    once on no nodes, which tells the family size.
+
+    Raises
+    ------
+    DomainError
+        If a time is not positive and finite (NaN included), before the
+        image is called.
+    ContourError
+        If the image, any row of a family included, evaluates non-finite
+        on a contour node.
+    """
+    ts = _positive_times(ts)
+    if ts.size == 0:
+        lead = np.shape(image(np.empty(0, dtype=complex)))[:-1]
+        return np.empty(lead + ts.shape), np.empty(lead + ts.shape)
+    pairs = []
+    for t in ts.ravel().tolist():
+        pairs.append(_invert(image, t))
+    shape = pairs[0][0].shape + ts.shape
+    values = np.stack([v for v, _ in pairs], axis=-1).reshape(shape)
+    errors = np.stack([e for _, e in pairs], axis=-1).reshape(shape)
     return values, errors
 
 

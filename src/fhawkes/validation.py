@@ -146,13 +146,12 @@ def c03_half_beta_consistency(cfg: ValidationConfig) -> dict:
 def c04_intensity_vs_inversion(cfg: ValidationConfig) -> dict:
     """Exact expected intensity vs numerical Laplace inversion, 1e-4."""
     t = np.geomspace(0.05, 50.0, 160)
+    ps = [ModelParams(1.0, 0.1, beta, g) for beta in (0.5, 0.9) for g in _GAMMA_GRID]
+    nums, _ = ilt_grid(lambda_image(*ps), t)
     worst = 0.0
-    for beta in (0.5, 0.9):
-        for g in _GAMMA_GRID:
-            p = ModelParams(1.0, 0.1, beta, g)
-            exact = lambda_exact(t, p)
-            num, _ = ilt_grid(lambda_image(p), t)
-            worst = max(worst, np.max(np.abs(num - exact) / exact))
+    for p, num in zip(ps, nums):
+        exact = lambda_exact(t, p)
+        worst = max(worst, np.max(np.abs(num - exact) / exact))
     return _result(
         "expected intensity: exact vs numerical inversion",
         worst <= 1e-4,

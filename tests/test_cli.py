@@ -268,8 +268,12 @@ class TestConfigFile:
             ('{"lambda0": 1, "alpha": "strong", "beta": 0.5, "gamma": 0.8}',
              "alpha must be a number"),
             ('{"lambda0": 1, "alpha": ', "cannot parse"),
+            ('{"lambda0": true, "alpha": 0.1, "beta": 0.5, "gamma": 1}',
+             "lambda0 must be a number, got True"),
+            ('{"lambda0": 1, "alpha": 0.1, "beta": 0.5, "gamma": 1, "lamda0": 5}',
+             "unknown keys: lamda0"),
         ],
-        ids=["array", "non-numeric", "unparsable"],
+        ids=["array", "non-numeric", "unparsable", "boolean", "unknown-key"],
     )
     def test_malformed_config_is_usage_error(self, monkeypatch, capsys, tmp_path,
                                              text, message):

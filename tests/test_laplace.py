@@ -14,10 +14,12 @@ from fhawkes import (
     DomainError,
     LaplaceImage,
     MLKernelParams,
+    ModelParams,
     QuadratureError,
     forward_lt,
     ilt,
     ilt_grid,
+    lambda_image,
     ml_density,
 )
 from fhawkes.laplace import _EPSABS, _EPSREL, _gk_quad
@@ -45,6 +47,36 @@ SCALAR_GOLDEN = [
     (0.99, 1.7, 0.1, "0x1.e2ee3ce5a5e97p-1"),
     (0.99, 1.7, 10.0, "0x1.2f7a1661e5e23p-3"),
 ]
+
+# ilt and ilt_grid at ILT_GOLDEN_TIMES as (value, error estimate) pairs,
+# printed by the one-image inverter that preceded the shared contour: these
+# bits must not move
+ILT_GOLDEN_TIMES = (0.05, 1.0, 7.3, 50.0)
+ILT_GOLDEN = {
+    "ramp": [
+        ("0x1.99999998d242dp-5", "0x1.8000000000000p-56"),
+        ("0x1.ffffffff06cf2p-1", "0x1.7000000000000p-49"),
+        ("0x1.d33333324fd1ap+2", "0x1.0000000000000p-47"),
+        ("0x1.8fffffff3e12fp+5", "0x1.0000000000000p-45"),
+    ],
+    # lambda_image(ModelParams(1, 0.1, beta, gamma)) at two c04 settings
+    (0.5, 0.1): [
+        ("0x1.00a2737143894p+0", "0x1.0000000000000p-50"),
+        ("0x1.02ac4764d44c4p+0", "0x1.e200000000000p-45"),
+        ("0x1.06631ab762f6ap+0", "0x1.b200000000000p-45"),
+        ("0x1.0cbecaed23ad0p+0", "0x1.6f80000000000p-43"),
+    ],
+    (0.9, 1.7): [
+        ("0x1.02e116dbca916p+0", "0x1.8300000000000p-43"),
+        ("0x1.15b33b0223230p+0", "0x1.bc00000000000p-44"),
+        ("0x1.1c09713b4f0a6p+0", "0x1.0000000000000p-48"),
+        ("0x1.1c627c6406592p+0", "0x1.7980000000000p-43"),
+    ],
+}
+
+# the six (beta, gamma) sets of criterion c04 and its time grid
+C04_SETS = [ModelParams(1.0, 0.1, b, g) for b in (0.5, 0.9) for g in (0.1, 0.8, 1.7)]
+C04_TIMES = np.geomspace(0.05, 50.0, 160)
 
 # image with a pole right of zero: the original grows, the abscissa moves
 GROWING_PAIR = (lambda s: 1.0 / (s - 1.0), lambda t: np.exp(t), 1.0)
@@ -94,11 +126,12 @@ class TestIlt:
         assert res.error_estimate >= 0.0
 
     def test_rejects_nonpositive_time(self):
-        for t in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                ilt(LaplaceImage(lambda s: 1.0 / s), t)
-            with pytest.raises(DomainError):
-                ilt_grid(LaplaceImage(lambda s: 1.0 / s), [1.0, t])
+        for image in (LaplaceImage(lambda s: 1.0 / s), _decay_family((0.0, 1.0))):
+            for t in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    ilt(image, t)
+                with pytest.raises(DomainError):
+                    ilt_grid(image, [1.0, t])
 
     def test_contour_error_on_nonfinite_image(self):
         def bad_fn(s):
@@ -133,6 +166,108 @@ class TestIlt:
             vals, _ = ilt_grid(LaplaceImage(image), ts)
         ref = f(ts)
         assert np.max(np.abs(vals - ref) / ref) < 1e-3
+
+
+def _golden_image(key):
+    if key == "ramp":
+        return LaplaceImage(lambda s: 1.0 / s ** 2)
+    return lambda_image(ModelParams(1.0, 0.1, *key))
+
+
+def _decay_family(rates):
+    """Family of images ``1/(s + a_i)``, whose inverses are ``exp(-a_i t)``."""
+    a = np.asarray(rates, dtype=float)[:, None]
+    return LaplaceImage(lambda s: 1.0 / (s + a), sigma0=-float(a.min()))
+
+
+class TestIltBits:
+    @pytest.mark.parametrize("key", list(ILT_GOLDEN), ids=str)
+    def test_golden_bits(self, key):
+        image = _golden_image(key)
+        golden = [(float.fromhex(v), float.fromhex(e)) for v, e in ILT_GOLDEN[key]]
+        for t, pair in zip(ILT_GOLDEN_TIMES, golden):
+            res = ilt(image, t)
+            assert type(res.value) is float and type(res.error_estimate) is float
+            assert (res.value, res.error_estimate) == pair
+        vals, errs = ilt_grid(image, ILT_GOLDEN_TIMES)
+        assert list(zip(vals.tolist(), errs.tolist())) == golden
+
+    def test_c04_family_rows_equal_single_images(self):
+        vals, errs = ilt_grid(lambda_image(*C04_SETS), C04_TIMES)
+        assert vals.shape == errs.shape == (6, 160)
+        for p, row_v, row_e in zip(C04_SETS, vals, errs):
+            single_v, single_e = ilt_grid(lambda_image(p), C04_TIMES)
+            assert np.array_equal(row_v, single_v)
+            assert np.array_equal(row_e, single_e)
+
+    def test_lambda_image_needs_a_parameter_set(self):
+        with pytest.raises(DomainError):
+            lambda_image()
+
+
+class TestIltFamily:
+    RATES = (0.0, 0.5, 2.0)
+
+    def test_grid_shapes_and_values(self):
+        ts = np.geomspace(0.1, 5.0, 12)
+        vals, errs = ilt_grid(_decay_family(self.RATES), ts)
+        assert vals.shape == errs.shape == (3, 12)
+        ref = np.exp(-np.outer(self.RATES, ts))
+        assert np.max(np.abs(vals - ref)) < 1e-8
+        assert np.all(errs >= 0.0)
+
+    def test_two_dimensional_times(self):
+        ts = np.geomspace(0.1, 5.0, 6).reshape(2, 3)
+        vals, errs = ilt_grid(_decay_family(self.RATES), ts)
+        assert vals.shape == errs.shape == (3, 2, 3)
+        flat, _ = ilt_grid(_decay_family(self.RATES), ts.ravel())
+        assert np.array_equal(vals.reshape(3, 6), flat)
+
+    def test_zero_dimensional_times(self):
+        vals, errs = ilt_grid(_decay_family(self.RATES), 1.5)
+        assert vals.shape == errs.shape == (3,)
+        one, _ = ilt_grid(LaplaceImage(lambda s: 1.0 / (s + 0.5)), 1.5)
+        assert one.shape == ()
+        assert vals[1] == one
+
+    def test_empty_times(self):
+        vals, errs = ilt_grid(_decay_family(self.RATES), [])
+        assert vals.shape == errs.shape == (3, 0)
+        vals, errs = ilt_grid(LaplaceImage(lambda s: 1.0 / s), np.empty((0, 4)))
+        assert vals.shape == errs.shape == (0, 4)
+
+    def test_ilt_returns_arrays_for_a_family(self):
+        res = ilt(_decay_family(self.RATES), 2.0)
+        assert res.value.shape == res.error_estimate.shape == (3,)
+        np.testing.assert_allclose(res.value, np.exp(-2.0 * np.array(self.RATES)),
+                                   rtol=0, atol=1e-8)
+
+    def test_warning_names_the_row(self):
+        # exp(-20) at t = 10 is small against the contour's absolute error
+        with pytest.warns(ConvergenceWarning, match=r"ilt\(t=10\) in row 1 by"):
+            ilt_grid(_decay_family((0.0, 2.0)), [10.0])
+
+    def test_family_is_called_once_per_time(self):
+        calls = []
+        family = _decay_family(self.RATES)
+
+        def counted(s):
+            calls.append(s.shape)
+            return family(s)
+
+        ilt_grid(LaplaceImage(counted, family.sigma0), [0.5, 1.0, 2.0])
+        assert calls == [(2032,)] * 3
+
+    def test_one_nonfinite_row_fails_the_call(self):
+        def fn(s):
+            rows = 1.0 / (s + np.array([[0.5], [1.0]]))
+            rows[1, 7] = np.nan
+            return rows
+
+        with pytest.raises(ContourError):
+            ilt_grid(LaplaceImage(fn), [1.0, 2.0])
+        with pytest.raises(ContourError):
+            ilt(LaplaceImage(fn), 1.0)
 
 
 def _complex_forward(f, s):
