@@ -7,8 +7,9 @@ The library provides:
 * ``laplace`` — numerical inversion of Laplace transforms on the real time
   axis and forward transforms by quadrature;
 * ``analytics`` — closed-form expected intensity and expected event counts;
-* ``simulate`` — thinning and branching-cluster samplers of the process;
-* ``harness`` — Monte Carlo counting: count matrices, their means with
+* ``simulate`` — thinning and branching-cluster samplers of the process,
+  and the count matrix of many replicas;
+* ``harness`` — Monte Carlo counting: means of the count matrix with
   standard errors, and count distributions with their references;
 * ``io`` — the CSV tables of curves, distributions and events, and the
   JSON validation report;

@@ -145,8 +145,12 @@ def expected_n_cmd(
     write_curves_csv(out, table)
     line = f"wrote {times.size} rows to {out}"
     if "mc_mean" in table:
-        dev = np.max(np.abs(table["mc_mean"] - table["exact"]) / table["mc_se"])
-        line += f" (max |mc-exact|/se = {dev:.2f})"
+        # a time where every replica has the same count has se = 0
+        se = table["mc_se"]
+        pos = se > 0.0
+        gap = np.abs(table["mc_mean"] - table["exact"])[pos] / se[pos]
+        dev = f"{gap.max():.2f}" if gap.size else "n/a"
+        line += f" (max |mc-exact|/se = {dev})"
     click.echo(line)
 
 

@@ -1,6 +1,8 @@
-"""Monte Carlo counting: the count matrix, its column means with standard
+"""Monte Carlo counting: column means of the count matrix with standard
 errors, and count distributions with their Poisson / exponential-kernel
 references, as the CLI, the demos and the validation criteria compare them.
+The count matrix itself is drawn in :mod:`fhawkes.simulate`;
+``harness.count_matrix`` is that same function, re-exported.
 
 Replicas draw from independent streams keyed by ``(seed, engine, replica)``;
 aggregation is order-independent, so results are deterministic given the
@@ -20,7 +22,7 @@ from scipy.special import chdtrc, gammaln, xlogy
 from .analytics import ModelParams, lambda_image
 from .errors import DomainError
 from .laplace import LaplaceImage, ilt_grid
-from .simulate import _count_rows
+from .simulate import count_matrix
 
 __all__ = [
     "CountDistribution",
@@ -111,40 +113,6 @@ class CountDistribution:
         obs_m = np.asarray(obs_m)
         exp_m = np.asarray(exp_m) * obs_m.sum() / np.sum(exp_m)
         return _pearson(obs_m, exp_m)
-
-
-def count_matrix(
-    p: ModelParams, times, replicas: int, seed: int, engine: str = "thinning"
-) -> np.ndarray:
-    """(replicas x len(times)) matrix of counts N(t), one simulated path per
-    row, all counted from the same path.  Row ``r`` is the path of replica
-    ``r`` on the ``engine``'s stream: ``"thinning"`` and ``"cluster"`` as
-    :func:`~fhawkes.simulate.simulate_thinning` and
-    :func:`~fhawkes.simulate.simulate_cluster` draw it, ``"exp_hawkes"`` the
-    exponential-kernel process with ``p``'s ``lambda0``, ``alpha`` and
-    ``gamma``.  The thinning kernel is built and certified once for all rows.
-    The two thinning engines advance blocks of up to 512 rows in lockstep,
-    one vector step per proposal, while at least K = 16 rows of a block are
-    active; the rest finish one by one in the scalar loop.  Each row is the
-    same path whatever ``replicas`` is, so ``count_matrix(p, times, R,
-    seed)[:r]`` equals ``count_matrix(p, times, r, seed)``.
-
-    Raises
-    ------
-    DomainError
-        If ``times`` is empty or has a negative time, if ``replicas`` is
-        negative, or for an unknown engine.
-    BudgetError
-        If a path passes ``DEFAULT_MAX_EVENTS`` events, or, for the thinning
-        engines, before any drawing when ``lambda0 * max(times)`` makes that
-        certain.
-    """
-    times = np.asarray(times, dtype=float)
-    if not (times.size > 0 and times.min() >= 0.0 and replicas >= 0):
-        raise DomainError(
-            "count_matrix needs at least one time, all times >= 0 and replicas >= 0"
-        )
-    return _count_rows(engine, p, times, replicas, seed)
 
 
 def expected_n_ilt_curve(p: ModelParams, times):

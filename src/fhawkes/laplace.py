@@ -271,43 +271,6 @@ def _gk_quad(fn, a, b):
         errs = np.concatenate([errs, grow], axis=1)
 
 
-def _half_line(f, s, p):
-    """``int_0^inf exp(-s*t) f(t) dt`` for every ``s >= 0`` of a scalar or
-    1-d ``s``, as two finite integrals in ``u``: the head ``(0, 1)`` through
-    ``t = u**(1/p)`` and the tail ``[1, inf)`` through ``t = u**(-1/p)``.
-
-    With ``p`` the exponent of a ``t**(p-1)`` singularity at the origin and
-    of a ``t**(-1-p)`` decay, both integrands are smooth and finite in
-    ``u``.  Each part integrates all the ``s`` on one shared mesh, so ``f``
-    is evaluated once per node whatever the number of ``s``, and each
-    ``s`` meets its own tolerance.  Returns ``(values, summed error
-    estimates)``, two arrays with one entry per ``s``.
-    """
-    s = np.asarray(s, dtype=float).reshape(-1, 1)
-
-    def head(u):
-        t = u ** (1.0 / p)
-        return f(t) * np.exp(-s * t) * t ** (1.0 - p) / p
-
-    def tail(u):
-        t = u ** (-1.0 / p)
-        # exp(log) keeps t**(1+p) * exp(-s*t) finite where t**(1+p) overflows
-        return f(t) * np.exp((1.0 + p) * np.log(t) - s * t) / p
-
-    v1, e1 = _gk_quad(head, 0.0, 1.0)
-    v2, e2 = _gk_quad(tail, 0.0, 1.0)
-    return v1 + v2, e1 + e2
-
-
-def _check_errors(errors):
-    """Raise :class:`QuadratureError` if a summed error estimate of
-    ``_half_line`` exceeds 1e-8, the most a returned transform may carry."""
-    if errors.max() > 1e-8:
-        raise QuadratureError(
-            f"forward transform error estimate {errors.max():.2e} exceeds 1e-8"
-        )
-
-
 def forward_lt(
     f: Callable[[np.ndarray], np.ndarray],
     s,
@@ -317,16 +280,17 @@ def forward_lt(
     """Laplace transform ``int_0^inf exp(-s*t) f(t) dt`` by adaptive
     Gauss-Kronrod quadrature (tolerance 1e-10, absolute and relative).
 
-    ``f`` takes an array of times and returns an array of values.  ``s``
-    is a scalar, which returns a float, or a 1-d array, which returns an
+    ``f`` takes an array of times and returns an array of values.  ``s >=
+    0`` is a scalar, which returns a float, or a 1-d array, which returns an
     array of the transforms: all of them come from one shared mesh, on
     which ``f`` is evaluated once per node, and each meets its own
-    tolerance.  ``singular_exponent=p`` declares a ``t**(p-1)``
+    tolerance.  ``s = 0`` gives ``int_0^inf f``, so ``f`` must then be
+    integrable.  ``singular_exponent=p`` declares a ``t**(p-1)``
     singularity at the origin, removed by substituting ``t = u**(1/p)`` on
-    ``(0, 1)``; the tail ``[1, inf)`` is integrated in ``t = u**(-1/p)`` on
-    ``(0, 1]``, which maps a ``t**(-1-p)`` decay to a smooth integrand
-    (``p = 1`` when no exponent is given).  Each part may use at most 200
-    panels.
+    the head ``(0, 1)``; the tail ``[1, inf)`` is integrated in ``t =
+    u**(-1/p)`` on ``(0, 1]``, which maps a ``t**(-1-p)`` decay to a smooth
+    integrand (``p = 1`` when no exponent is given).  Each part may use at
+    most 200 panels.
 
     An endpoint singularity must be declared through ``singular_exponent``:
     the rule has no extrapolation, and the Kronrod-Gauss estimate on the
@@ -338,19 +302,35 @@ def forward_lt(
     ------
     DomainError
         If ``s`` is neither a scalar nor a nonempty 1-d array, an entry of
-        ``s`` is not positive and finite, or ``singular_exponent`` is not in
+        ``s`` is negative or not finite, or ``singular_exponent`` is not in
         (0, 1].
     QuadratureError
         If the integrand is not finite on a node, either part does not meet
-        tolerance within 200 panels, or a summed error estimate exceeds
-        1e-8.
+        tolerance within 200 panels, or the summed error estimate of a
+        transform exceeds 1e-8.
     """
     sv = np.asarray(s, dtype=float)
-    if sv.ndim > 1 or sv.size == 0 or not ((sv > 0.0) & (sv < math.inf)).all():
-        raise DomainError("forward transform requires a finite s > 0")
+    if sv.ndim > 1 or sv.size == 0 or not ((sv >= 0.0) & (sv < math.inf)).all():
+        raise DomainError("forward transform requires a finite s >= 0")
     p = 1.0 if singular_exponent is None else singular_exponent
     if not 0.0 < p <= 1.0:
         raise DomainError("singular_exponent must lie in (0, 1]")
-    values, errors = _half_line(f, sv, p)
-    _check_errors(errors)
+    col = sv.reshape(-1, 1)
+
+    def head(u):
+        t = u ** (1.0 / p)
+        return f(t) * np.exp(-col * t) * t ** (1.0 - p) / p
+
+    def tail(u):
+        t = u ** (-1.0 / p)
+        # exp(log) keeps t**(1+p) * exp(-s*t) finite where t**(1+p) overflows
+        return f(t) * np.exp((1.0 + p) * np.log(t) - col * t) / p
+
+    v1, e1 = _gk_quad(head, 0.0, 1.0)
+    v2, e2 = _gk_quad(tail, 0.0, 1.0)
+    values, errors = v1 + v2, e1 + e2
+    if errors.max() > 1e-8:
+        raise QuadratureError(
+            f"forward transform error estimate {errors.max():.2e} exceeds 1e-8"
+        )
     return float(values[0]) if sv.ndim == 0 else values

@@ -10,16 +10,16 @@ kernel, by two independent constructions:
   spawns a Poisson(alpha) number of children at kernel-distributed delays.
 
 The exponential-kernel process, the reference of the beta -> 1 limit, is
-the one-component case of the thinning loop: the ``exp_hawkes`` engine of
-:func:`fhawkes.harness.count_matrix`.
+the one-component case of the thinning loop: the ``exp_hawkes`` engine.
 
-Many thinning paths at once, as :func:`fhawkes.harness.count_matrix` draws
-them, advance in lockstep: one vector step gives every active replica its
-next proposal, in blocks of at most ``_LOCKSTEP_BLOCK`` replicas.  Once
-fewer than ``_LOCKSTEP_MIN`` (K) replicas of a block are active, each
-finishes in the scalar loop, which also draws every single path.  Both
-read the same draws in the same order, so each path is the same, epoch for
-epoch, whatever the batch width.
+:func:`count_matrix` counts N(t) on many replicas of one engine, the Monte
+Carlo input of :mod:`fhawkes.harness` (which re-exports it), the CLI and
+the validation criteria.  Its thinning paths advance in lockstep: one
+vector step gives every active replica its next proposal, in blocks of at
+most ``_LOCKSTEP_BLOCK`` replicas.  Once fewer than ``_LOCKSTEP_MIN`` (K)
+replicas of a block are active, each finishes in the scalar loop, which
+also draws every single path.  Both read the same draws in the same order,
+so each path is the same, epoch for epoch, whatever the batch width.
 
 All engines draw from counter-based generator streams keyed by
 ``(seed, engine, replica)``, so independent replicas are reproducible and
@@ -43,6 +43,7 @@ from .special import MLKernelParams, ml_density, ml_one, ml_sample, ml_spectral
 
 __all__ = [
     "EventSequence",
+    "count_matrix",
     "intensity",
     "replica_stream",
     "simulate_cluster",
@@ -369,12 +370,36 @@ def _sampler(engine: str, p: ModelParams, horizon: float):
     return draw
 
 
-def _count_rows(engine: str, p: ModelParams, times: np.ndarray, replicas: int,
-                seed: int) -> np.ndarray:
-    """(replicas x len(times)) counts N(times), row ``r`` counted from the
-    path that ``_sampler(engine, p, max(times))`` draws for ``(seed, r)``.
-    The thinning engines run :func:`_thin_lockstep` on blocks of at most
-    ``_LOCKSTEP_BLOCK`` replicas, so memory stays bounded."""
+def count_matrix(
+    p: ModelParams, times, replicas: int, seed: int, engine: str = "thinning"
+) -> np.ndarray:
+    """(replicas x len(times)) matrix of counts N(t), one simulated path per
+    row, all counted from the same path.  Row ``r`` is the path of replica
+    ``r`` on the ``engine``'s stream: ``"thinning"`` and ``"cluster"`` as
+    :func:`simulate_thinning` and :func:`simulate_cluster` draw it on
+    ``(0, max(times)]``, ``"exp_hawkes"`` the exponential-kernel process
+    with ``p``'s ``lambda0``, ``alpha`` and ``gamma``.  The thinning kernel
+    is built and certified once for all rows.  The two thinning engines
+    advance blocks of up to ``_LOCKSTEP_BLOCK`` = 512 rows in lockstep (see
+    :func:`_thin_lockstep`), so memory stays bounded.  Each row is the same
+    path whatever ``replicas`` is, so ``count_matrix(p, times, R,
+    seed)[:r]`` equals ``count_matrix(p, times, r, seed)``.
+
+    Raises
+    ------
+    DomainError
+        If ``times`` is empty, has a negative time or has largest entry 0
+        (no horizon), if ``replicas`` is negative, or for an unknown engine.
+    BudgetError
+        If a path passes ``DEFAULT_MAX_EVENTS`` events, or, for the thinning
+        engines, before any drawing when ``lambda0 * max(times)`` makes that
+        certain.
+    """
+    times = np.asarray(times, dtype=float)
+    if not (times.size > 0 and times.min() >= 0.0 and replicas >= 0):
+        raise DomainError(
+            "count_matrix needs at least one time, all times >= 0 and replicas >= 0"
+        )
     horizon = float(times.max())
     _check_horizon(horizon)
     out = np.empty((replicas, times.size), dtype=np.int64)
@@ -401,8 +426,7 @@ def simulate_thinning(
     event adds ``alpha`` times the surrogate's weights, so a proposal costs
     O(Q) whatever the history.  An event whose step does not advance the
     time in floating point moves to the next float after the last epoch.
-    :func:`fhawkes.harness.count_matrix` certifies the surrogate once for
-    all its paths.
+    :func:`count_matrix` certifies the surrogate once for all its paths.
     """
     return _sampler("thinning", p, horizon)(seed, replica)
 

@@ -136,10 +136,18 @@ def _series_sum(a, b, c, z):
     exact partial sum only when the float sums of the terms and of their
     magnitudes cannot decide it.  A converged row gets one exact sum and
     the audit, unless ``6*eps*sum|t| / (|sum t| + K*eps*sum|t|)``, a lower
-    bound on its audit, already rejects it.  Each row's value, and whether
-    it is accepted, is the same as when it is summed alone.
+    bound on its audit, already rejects it.  For ``c = 1`` and ``b >= a``
+    a negative-z row leaves at the first chunk whose largest term already
+    fails its audit against the bound ``1/Gamma(b)`` on the value.  Each
+    row's value, and whether it is accepted, is the same as when it is
+    summed alone.
     """
     lgc = gammaln(c)
+    # E_{a,b}(-x) is completely monotone for b >= a (Schneider 1996), so at
+    # most 1/Gamma(b), and the audit charges at least 6*eps*(largest term)
+    screen = math.inf
+    if c == 1.0 and b >= a and rgamma(b) >= np.finfo(float).tiny:
+        screen = _SERIES_RTOL * (1.0 + 1e-9) * rgamma(b)
     coefs = []
     values = np.zeros_like(z)
     accepted = np.zeros(z.shape, dtype=bool)
@@ -170,7 +178,10 @@ def _series_sum(a, b, c, z):
             tot = tot + np.add.reduce(terms, axis=1)
             gone, fin, exact = [], [], []
             for i, (t3, t2, t1) in enumerate(tails):
-                if peak[i] == math.inf:  # a term overflowed
+                # a term overflowed, or the audit screen rejects the row
+                if peak[i] == math.inf or (
+                    6.0 * _EPS * peak[i] * (1.0 - 1e-9) > screen and neg[i, 0]
+                ):
                     gone.append(i)
                     continue
                 # stopping test: the tail does not rise and its last term is

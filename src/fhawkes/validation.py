@@ -35,7 +35,7 @@ from .harness import (
     expected_n_ilt_curve,
     mean_and_se,
 )
-from .laplace import _check_errors, _half_line, ilt_grid
+from .laplace import forward_lt, ilt_grid
 from .special import MLKernelParams, erfcx, ml_density, ml_one, prabhakar
 
 __all__ = ["CRITERIA", "run_validation"]
@@ -97,22 +97,19 @@ def c02_kernel_transform(cfg: ValidationConfig) -> dict:
     """Kernel normalization within 1e-6 and Laplace transform equal to
     gamma/(gamma+s^beta) within 1e-6 at s = 0.1, 1 and 10.
 
-    Per kernel, the mass (s = 0) and the three transforms come from one
-    call of the vectorised Gauss-Kronrod integrator of ``laplace``, at
-    1e-10 absolute and relative tolerance for each, in the variables
-    ``t = u**(1/beta)`` on (0, 1) and ``t = u**(-1/beta)`` on [1, inf),
-    where the kernel's ``t**(beta-1)`` head and ``t**(-1-beta)`` tail are
+    Per kernel, the mass (the transform at s = 0) and the three transforms
+    come from one ``forward_lt`` call with ``singular_exponent=beta``, which
+    makes the kernel's ``t**(beta-1)`` head and ``t**(-1-beta)`` tail
     smooth.  All four integrands share one adaptive mesh per part, so the
-    density is evaluated once per node; each transform's summed error
-    estimate must stay within ``forward_lt``'s 1e-8."""
+    density is evaluated once per node, and each is held to 1e-10 absolute
+    and relative tolerance, with a summed error estimate within 1e-8."""
     s = np.array([0.0, 0.1, 1.0, 10.0])
     worst_norm = 0.0
     worst_lt = 0.0
     for beta in (0.3, 0.5, 0.7, 0.9, 0.99):
         for g in (0.1, 1.0, 1.7):
             k = MLKernelParams(beta, g)
-            values, errors = _half_line(lambda t: ml_density(t, k), s, beta)
-            _check_errors(errors[1:])
+            values = forward_lt(lambda t: ml_density(t, k), s, singular_exponent=beta)
             worst_norm = max(worst_norm, float(abs(values[0] - 1.0)))
             ref = g / (g + s[1:] ** beta)
             worst_lt = max(worst_lt, float(np.abs(values[1:] - ref).max()))
@@ -299,71 +296,58 @@ def c08_engine_agreement(cfg: ValidationConfig) -> dict:
     )
 
 
+def _count_cells(cfg, offset, param, models, times, reference):
+    """``(key, distribution, reference pmf)`` at each time of each model, as
+    :func:`count_distributions` pairs them, model ``i`` on seed ``cfg.seed
+    + offset + i``; the key names the model by its parameter ``param``."""
+    for i, p in enumerate(models):
+        for dist, ref in count_distributions(
+            p, times, cfg.replicas, cfg.seed + offset + i, reference
+        ):
+            yield f"{param}={getattr(p, param)},t={dist.t}", dist, ref
+
+
+def _tv_limit(cfg, name, offset, param, models, reference):
+    """A limit criterion: the largest total-variation distance of the count
+    law at t = 1, 5 and 10 from its reference, against 0.05 widened as
+    1/sqrt(replicas)."""
+    bound = 0.05 * cfg.tv_scale
+    details = {
+        key: dist.tv_distance(ref)
+        for key, dist, ref in _count_cells(
+            cfg, offset, param, models, (1.0, 5.0, 10.0), reference
+        )
+    }
+    worst = max(details.values())
+    return _result(name, worst <= bound, worst, bound, details)
+
+
 def c09_poisson_limit(cfg: ValidationConfig) -> dict:
     """At alpha=0.01 the count distribution is close to Poisson(lambda0*t)
     in total variation."""
-    bound = 0.05 * cfg.tv_scale
-    worst = 0.0
-    details = {}
-    times = (1.0, 5.0, 10.0)
-    for i, beta in enumerate((0.5, 0.9)):
-        p = ModelParams(1.0, 0.01, beta, 1.0)
-        for dist, ref in count_distributions(
-            p, times, cfg.replicas, cfg.seed + 90 + i, "poisson"
-        ):
-            tv = dist.tv_distance(ref)
-            details[f"beta={beta},t={dist.t}"] = tv
-            worst = max(worst, tv)
-    return _result(
-        "Poisson limit at small branching ratio (TV)",
-        worst <= bound,
-        worst,
-        bound,
-        details,
-    )
+    models = [ModelParams(1.0, 0.01, beta, 1.0) for beta in (0.5, 0.9)]
+    return _tv_limit(cfg, "Poisson limit at small branching ratio (TV)", 90,
+                     "beta", models, "poisson")
 
 
 def c10_exponential_limit(cfg: ValidationConfig) -> dict:
     """At beta=0.99 the count distribution matches the exponential-kernel
     process in total variation, with paired (seed, replica) indexing."""
-    bound = 0.05 * cfg.tv_scale
-    worst = 0.0
-    details = {}
-    times = (1.0, 5.0, 10.0)
-    for i, alpha in enumerate((0.1, 0.5)):
-        p = ModelParams(1.0, alpha, 0.99, 1.0)
-        for dist, ref in count_distributions(
-            p, times, cfg.replicas, cfg.seed + 100 + i, "exp_hawkes"
-        ):
-            tv = dist.tv_distance(ref)
-            details[f"alpha={alpha},t={dist.t}"] = tv
-            worst = max(worst, tv)
-    return _result(
-        "exponential-kernel limit at beta=0.99 (TV)",
-        worst <= bound,
-        worst,
-        bound,
-        details,
-    )
+    models = [ModelParams(1.0, alpha, 0.99, 1.0) for alpha in (0.1, 0.5)]
+    return _tv_limit(cfg, "exponential-kernel limit at beta=0.99 (TV)", 100,
+                     "alpha", models, "exp_hawkes")
 
 
 def c11_poisson_rejected(cfg: ValidationConfig) -> dict:
     """At alpha=0.5 the Poisson reference is rejected (chi-square p < 0.01).
     Each cell records the statistic and its degrees of freedom beside the
     p-value, which underflows to 0 at full replica counts."""
-    worst_p = 0.0
+    models = [ModelParams(1.0, 0.5, beta, 1.0) for beta in (0.5, 0.9)]
     details = {}
-    times = (5.0, 10.0)
-    for i, beta in enumerate((0.5, 0.9)):
-        p = ModelParams(1.0, 0.5, beta, 1.0)
-        for dist, ref in count_distributions(
-            p, times, cfg.replicas, cfg.seed + 110 + i, "poisson"
-        ):
-            stat, pvalue, dof = dist.chi_square(ref)
-            details[f"beta={beta},t={dist.t}"] = {
-                "pvalue": pvalue, "statistic": stat, "dof": dof,
-            }
-            worst_p = max(worst_p, pvalue)
+    for key, dist, ref in _count_cells(cfg, 110, "beta", models, (5.0, 10.0), "poisson"):
+        stat, pvalue, dof = dist.chi_square(ref)
+        details[key] = {"pvalue": pvalue, "statistic": stat, "dof": dof}
+    worst_p = max(cell["pvalue"] for cell in details.values())
     return _result(
         "Poisson approximation rejected at strong excitation",
         worst_p < 0.01,

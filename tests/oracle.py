@@ -83,7 +83,14 @@ def _branchcut_integral(a, b, x, dps=50):
             den = r ** (2 * a_) + 2 * x_ * r ** a_ * mp.cos(mp.pi * a_) + x_ ** 2
             return mp.e ** (-r) * num / den / mp.pi
 
-        knots = [0, mp.mpf(1) / 10, 1, 5, 15, 40, 80, 160, mp.inf]
+        # as a -> 1 the denominator nearly vanishes at r0 = x**(1/a), in a
+        # spike of width ~ r0*pi*(1-a)/a; knots graded around r0 resolve it
+        r0 = x_ ** (1 / a_)
+        width = r0 * mp.pi * (1 - a_) / a_
+        near = [r0 + sign * 2 ** k * width
+                for k in range(-2, 12) for sign in (-1, 1)]
+        knots = [0, mp.mpf(1) / 10, 1, 5, 15, 40, 80, 160, r0]
+        knots = sorted(set(knots + [r for r in near if r > 0])) + [mp.inf]
         return +mp.quad(h, knots, maxdegree=10)
 
 

@@ -4,6 +4,7 @@ codes, and output determinism."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestExpectedNCmd:
         table = read_curves_csv(out)
         dev = np.abs(table["mc_mean"] - table["exact"]) / table["mc_se"]
         assert np.max(dev) < 5.0
+
+    def test_zero_standard_error_is_not_a_deviation(self, monkeypatch, capsys,
+                                                    tmp_path):
+        # by t = 1e-6 no replica has an event, so every standard error is 0
+        out = tmp_path / "en.csv"
+        monkeypatch.setattr(sys, "argv", [
+            "fhawkes", "expected-n", "--lambda0", "1", "--alpha", "0.1",
+            "--beta", "0.5", "--gamma", "1", "--t-max", "1e-6", "--grid", "2",
+            "--method", "mc", "--replicas", "20", "--out", str(out),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            main()
+        assert "(max |mc-exact|/se = n/a)" in capsys.readouterr().out
+        assert np.all(read_curves_csv(out)["mc_se"] == 0.0)
 
     def test_all_methods(self, runner, tmp_path):
         out = tmp_path / "en.csv"

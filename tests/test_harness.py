@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fhawkes import EventSequence, ModelParams
+from fhawkes import EventSequence, ModelParams, simulate
 from fhawkes.harness import (
     CountDistribution,
     count_distributions,
@@ -249,6 +249,9 @@ class TestRunners:
     def test_unknown_reference_is_domain_error(self, reference):
         with pytest.raises(DomainError, match="unknown reference"):
             count_distributions(P, (1.0,), 10, 0, reference)
+
+    def test_count_matrix_is_drawn_in_simulate(self):
+        assert count_matrix is simulate.count_matrix
 
     def test_count_matrix_deterministic(self):
         a = count_matrix(P, (1.0, 5.0), 50, seed=7)

@@ -312,8 +312,20 @@ class TestForwardLt:
         got = forward_lt(lambda t: ml_density(t, k), s, singular_exponent=beta)
         assert got == pytest.approx(head + tail, rel=0, abs=1e-9)
 
+    def test_zero_s_is_the_integral(self):
+        assert forward_lt(lambda t: np.exp(-t), 0.0) == pytest.approx(1.0, abs=1e-10)
+        got = forward_lt(lambda t: np.exp(-t), [0.0, 1.0])
+        np.testing.assert_allclose(got, [1.0, 0.5], rtol=0, atol=1e-10)
+        k = MLKernelParams(0.3, 1.0)
+        mass = forward_lt(lambda t: ml_density(t, k), 0.0, singular_exponent=0.3)
+        assert mass == pytest.approx(1.0, abs=1e-10)
+
+    def test_zero_s_needs_an_integrable_f(self):
+        with pytest.raises(QuadratureError, match="panels"):
+            forward_lt(lambda t: 1.0 / (1.0 + t), 0.0)
+
     def test_rejects_nonpositive_s(self):
-        for s in (0.0, -1.0, math.nan, math.inf):
+        for s in (-1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 forward_lt(lambda t: np.ones_like(t), s)
             with pytest.raises(DomainError):

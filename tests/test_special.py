@@ -7,6 +7,7 @@ quadrature); regenerate the table with ``python3 tests/gen_fixtures.py``.
 The checks near ``beta = 1`` call the oracle directly.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from fhawkes import (
 )
 from fhawkes import special
 from fhawkes.simulate import intensity, replica_stream, simulate_cluster
-from oracle import ml_density_oracle, prabhakar_oracle
+from oracle import ml_density_oracle, prabhakar_oracle, prabhakar_series
 
 # oracle values, 20 significant digits
 ERFCX_1 = 0.42758357615580700441
@@ -113,6 +114,25 @@ class TestPrabhakar:
         lhs = prabhakar(a, 1.0, 1.0, z)
         rhs = z * prabhakar(a, 1.0 + a, 1.0, z) + 1.0
         assert np.max(np.abs(lhs - rhs) / np.abs(lhs)) < 1e-10
+
+
+# E_{a,a}(-x) at a = 0.9999, beyond the oracle's series range (z < -30): its
+# branch-cut integrand spikes at r = x**(1/a), relative width pi*(1-a)/a
+_NEAR_ONE_ORACLE = functools.lru_cache(prabhakar_oracle)
+
+
+class TestOracleNearOrderOne:
+    def test_branch_cut_matches_series(self):
+        ref = prabhakar_series(0.9999, 0.9999, 1.0, -33.0)
+        got = _NEAR_ONE_ORACLE(0.9999, 0.9999, 1.0, -33.0)
+        assert abs(got - ref) <= 1e-40 * abs(ref)
+
+    @pytest.mark.parametrize("z", [-33.0, -37.17])
+    def test_library_matches_oracle(self, z):
+        ref = float(_NEAR_ONE_ORACLE(0.9999, 0.9999, 1.0, z))
+        assert prabhakar(0.9999, 0.9999, 1.0, z) == pytest.approx(
+            ref, rel=1e-12, abs=0.0
+        )
 
 
 # One batch per shape mixes z = 0, positive z, the series/large-argument
