@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,41 @@ def _times(t, quantity):
     return t_arr
 
 
+def _principal_power(s, beta):
+    """Principal branch of ``s**beta`` for a complex array ``s`` and a real
+    ``beta`` in (0, 1], in polar form on real ufuncs, within a few ulps of
+    the exact power; ``s`` itself for ``beta = 1``.
+
+    The modulus is ``(x*x + y*y)**(beta/2)``, or ``hypot(x, y)**beta``
+    where ``x*x + y*y`` overflows or underflows.  With ``tau =
+    tan(beta*arg(s)/2)`` the rotation is ``((1 - tau**2) + 2j*tau) / (1 +
+    tau**2)``; ``|tau| <= tan(pi*beta/2)`` is finite for ``beta < 1``.
+    """
+    if beta == 1.0:
+        return s
+    # contiguous copies: the ufuncs below are faster on them than on views
+    x, y = s.real.copy(), s.imag.copy()
+    with np.errstate(over="ignore"):
+        r2 = x * x + y * y
+    mag = r2 ** (0.5 * beta)
+    if not (r2.min(initial=_TINY) >= _TINY and r2.max(initial=0.0) < math.inf):
+        # x*x + y*y overflowed or lost bits to underflow: |s| from hypot
+        lossy = ~((r2 >= _TINY) & (r2 < math.inf))
+        mag = np.where(lossy, np.hypot(x, y) ** beta, mag)
+    tau = np.tan((0.5 * beta) * np.arctan2(y, x))
+    tau2 = tau * tau
+    m = mag / (1.0 + tau2)
+    out = np.empty(s.shape, dtype=complex)
+    np.multiply(m, 1.0 - tau2, out=out.real)
+    np.multiply(m, 2.0 * tau, out=out.imag)
+    return out
+
+
 def lambda_image(*ps: ModelParams) -> LaplaceImage:
     """Laplace image of the expected intensity:
     ``(lambda0/s) * (gamma + s**beta) / ((1-alpha)*gamma + s**beta)`` with
-    the principal branch of ``s**beta``; abscissa 0.
+    the principal branch of ``s**beta``, taken in polar form within a few
+    ulps of the exact power; abscissa 0.
 
     One parameter set gives one image.  Several give a family, whose
     values on ``n`` nodes form an ``(m, n)`` array, one row per set in
@@ -93,7 +125,7 @@ def lambda_image(*ps: ModelParams) -> LaplaceImage:
         rows = []
         for p in ps:
             if p.beta not in powers:
-                powers[p.beta] = s ** p.beta
+                powers[p.beta] = _principal_power(s, p.beta)
             sb = powers[p.beta]
             rows.append(
                 (p.lambda0 / s) * (p.gamma + sb) / ((1.0 - p.alpha) * p.gamma + sb)

@@ -109,10 +109,13 @@ def lambda_cmd(config, lambda0, alpha, beta, gamma, t_max, grid, method, out):
     table = {"t": t}
     if method in ("exact", "both"):
         table["exact"] = lambda_exact(t, p)
+    line = f"wrote {t.size} rows to {out}"
     if method in ("ilt", "both"):
-        table["ilt"], _ = ilt_grid(lambda_image(p), t)
+        table["ilt"], est = ilt_grid(lambda_image(p), t)
+        rel = est / np.maximum(np.abs(table["ilt"]), 1e-300)
+        line += f" (max ilt estimate/|ilt| = {rel.max():.2e})"
     write_curves_csv(out, table)
-    click.echo(f"wrote {t.size} rows to {out}")
+    click.echo(line)
 
 
 @cli.command(name="expected-n")

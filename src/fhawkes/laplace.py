@@ -88,8 +88,13 @@ def _invert(image, t):
     shape ``()`` for one image and ``(m,)`` for a family: the image is
     evaluated once, on the one node set of ``t``."""
     offset = image.sigma0 + _DECAY / (2.0 * t)
-    omega = _K_MID * (math.pi / t)
-    vals = np.asarray(image(offset + 1j * omega))
+    nodes = np.empty(_K_MID.size, dtype=complex)
+    nodes.real = offset
+    nodes.imag = _K_MID * (math.pi / t)
+    # an overflow or a zero division inside the image shows as a non-finite
+    # value, which the check below reports
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = np.asarray(image(nodes))
     if not np.isfinite(vals).all():
         raise ContourError(
             f"image evaluated non-finite on the contour at t={t!r}"

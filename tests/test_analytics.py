@@ -3,6 +3,7 @@ mutual consistency, the Laplace image, and asymptotics."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,11 +15,14 @@ from fhawkes import (
     expected_n,
     expected_n_half,
     forward_lt,
+    ilt,
     ilt_grid,
     lambda_exact,
     lambda_exact_half,
     lambda_image,
 )
+from fhawkes.analytics import _principal_power
+from fhawkes.laplace import _DECAY, _K_MID
 
 # frozen oracle values
 LAMBDA_HALF_T1 = 1.0104412671634487  # lambda0=1, alpha=0.1, gamma=0.1, t=1
@@ -64,6 +68,56 @@ class TestLambdaImage:
         assert (s * lambda_image(p)(s))[0].real == pytest.approx(
             1.0 / 0.9, rel=1e-5
         )
+
+
+def _mp_power(s, beta):
+    """Principal ``s**beta`` at 40 digits, rounded to complex."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        return np.array(
+            [complex(mpmath.power(mpmath.mpc(z.real, z.imag), b)) for z in s]
+        )
+
+
+@pytest.mark.filterwarnings("error")
+class TestPrincipalPower:
+    BETAS = (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+    def test_contour_nodes_against_mpmath(self, t):
+        s = _DECAY / (2.0 * t) + 1j * _K_MID * (math.pi / t)
+        for beta in self.BETAS:
+            ref = _mp_power(s, beta)
+            rel = np.abs(_principal_power(s, beta) - ref) / np.abs(ref)
+            assert rel.max() <= 2e-15, beta
+
+    def test_all_quadrants_and_extreme_moduli(self):
+        rng = np.random.default_rng(15)
+        r = 10.0 ** rng.uniform(-300.0, 300.0, 400)
+        s = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+        s = np.concatenate([s, [1e-300j, -1e300 + 0j, 1e300 - 1e300j, -3e-300 - 0j]])
+        for beta in self.BETAS:
+            ref = _mp_power(s, beta)
+            rel = np.abs(_principal_power(s, beta) - ref) / np.abs(ref)
+            assert rel.max() <= 2e-13, beta
+
+    def test_zero_gives_zero(self):
+        for s in (np.zeros(3, dtype=complex), np.array(0j)):
+            got = _principal_power(s, 0.5)
+            assert got.shape == s.shape
+            assert np.all(got == 0.0)
+
+    def test_beta_one_returns_s(self):
+        s = np.array([0.5 + 2.0j, -1e300 + 1e-300j, 1e-200 - 3.0j])
+        assert _principal_power(s, 1.0) is s
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-160, 1e300])
+    def test_inversion_at_extreme_times(self, t):
+        # |s| on the contour passes sqrt(max float) for t <= 1e-154 and
+        # falls below sqrt(tiny) for t >= 1e155
+        p = ModelParams(1.0, 0.5, 0.99, 1.0)
+        limit = p.lambda0 if t < 1.0 else asymptote(p)
+        assert ilt(lambda_image(p), t).value == pytest.approx(limit, rel=1e-9)
 
 
 class TestLambdaExact:

@@ -2,6 +2,7 @@
 codes, and output determinism."""
 
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -79,6 +80,17 @@ class TestLambdaCmd:
         assert res.exit_code == 0, res.output
         table = read_curves_csv(out)
         np.testing.assert_allclose(table["ilt"], table["exact"], rtol=1e-4)
+
+    @pytest.mark.parametrize("method", ["ilt", "both"])
+    def test_ilt_reports_node_doubling_estimate(self, runner, tmp_path, method):
+        out = tmp_path / "lam.csv"
+        res = runner.invoke(
+            cli, ["lambda", *MODEL, "--method", method, "--out", str(out)]
+        )
+        assert res.exit_code == 0, res.output
+        found = re.search(r"\(max ilt estimate/\|ilt\| = (\S+)\)", res.output)
+        assert found, res.output
+        assert 0.0 <= float(found.group(1)) < 1e-6
 
 
 class TestExpectedNCmd:

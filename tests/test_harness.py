@@ -2,6 +2,7 @@
 statistics, and the count-comparison functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from fhawkes.harness import (
     mean_and_se,
     poisson_reference_pmf,
 )
-from fhawkes.errors import DomainError
+from fhawkes.errors import ContourError, DomainError
 from fhawkes.io import (
     CURVE_COLUMNS,
     read_curves_csv,
@@ -275,6 +276,15 @@ class TestRunners:
         got = expected_n_ilt_curve(p, np.concatenate([[0.0], times]))
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], expected_n(times, p), rtol=1e-8)
+
+    @pytest.mark.parametrize("t", [1e200, 1e300])
+    def test_ilt_curve_overflow_is_a_contour_error(self, t):
+        # the count image lambda_image(p)(s)/s overflows at these |s|
+        p = ModelParams(1.0, 0.5, 0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContourError):
+                expected_n_ilt_curve(p, [t])
 
     def test_from_counts_pmf(self):
         dist = CountDistribution.from_counts(np.array([1, 1, 2, 4]), 1.0)
