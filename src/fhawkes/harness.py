@@ -14,7 +14,7 @@ separates the streams, keeping two-sample tests valid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import chdtrc, gammaln, xlogy
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _MIN_EXPECTED = 5.0  # smallest expected count of a merged chi-square cell
+# binary exponent of lambda0*t**2 below which the count image is scaled
+_UNDERFLOW_EXP = -900
 
 
 def _pearson(obs: np.ndarray, exp: np.ndarray) -> tuple[float, float, int]:
@@ -118,13 +120,32 @@ class CountDistribution:
 def expected_n_ilt_curve(p: ModelParams, times):
     """Expected count by numerical inversion of its Laplace image, the
     expected-intensity image divided by ``s``, at each requested time
-    (exactly 0 at ``t = 0``)."""
+    (exactly 0 at ``t = 0``).
+
+    The count image is about ``lambda0/s**2`` on the contour of a time
+    ``t``, where ``|s| >= 12/t``, so it underflows as ``lambda0*t**2``
+    nears the smallest normal float.  Where ``lambda0*t**2`` is below
+    ``2**-900``, the image of ``lambda0 * 2**k`` is inverted instead, with
+    ``k`` such that ``lambda0 * t * 2**k`` is near 1, and the value is
+    scaled back by ``2**-k``: a power of two changes no bit of a value
+    that does not underflow.
+    """
     times = np.asarray(times, dtype=float)
-    lam_img = lambda_image(p)
-    image = LaplaceImage(lambda s: lam_img(s) / s, lam_img.sigma0)
     out = np.zeros(times.shape)
     later = times != 0.0
-    out[later], _ = ilt_grid(image, times[later])
+    ts = times[later]
+    e_lam = math.frexp(p.lambda0)[1]
+    # a subnormal time scales as the smallest normal one, which keeps
+    # lambda0 * 2**k finite; its contour does not exist (ContourError)
+    e_t = np.maximum(np.frexp(ts)[1], -1021)
+    k = np.where(e_lam + 2 * e_t < _UNDERFLOW_EXP, -(e_lam + e_t), 0)
+    values = np.empty(ts.shape)
+    for kk in np.unique(k).tolist():
+        lam_img = lambda_image(replace(p, lambda0=math.ldexp(p.lambda0, kk)))
+        image = LaplaceImage(lambda s: lam_img(s) / s, lam_img.sigma0)
+        sel = k == kk
+        values[sel] = np.ldexp(ilt_grid(image, ts[sel])[0], -kk)
+    out[later] = values
     return out
 
 

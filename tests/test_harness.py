@@ -277,6 +277,26 @@ class TestRunners:
         assert got[0] == 0.0
         np.testing.assert_allclose(got[1:], expected_n(times, p), rtol=1e-8)
 
+    @pytest.mark.parametrize("t", [1e-150, 1e-153, 1e-155, 1e-160])
+    def test_ilt_curve_keeps_tiny_times_in_range(self, t):
+        # unscaled, the count image ~ 1/s**2 underflows on these contours;
+        # E N(t) = t to 1e-75 here, and a linear original sits on the
+        # inversion's aliasing floor, 3*exp(-24) = 1.13e-10 relative
+        p = ModelParams(1.0, 0.5, 0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expected_n_ilt_curve(p, [t])
+        np.testing.assert_allclose(got, expected_n(np.array([t]), p), rtol=1.2e-10, atol=0)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.99, 1.0])
+    def test_ilt_curve_scaling_keeps_bits(self, beta):
+        # at lambda0 = 2**-1000 every time below inverts a count image
+        # scaled by a power of two, which changes no bit of the values
+        ts = np.geomspace(1e-3, 1.0, 30)
+        tiny = expected_n_ilt_curve(ModelParams(2.0 ** -1000, 0.5, beta, 1.7), ts)
+        unit = expected_n_ilt_curve(ModelParams(1.0, 0.5, beta, 1.7), ts)
+        assert np.array_equal(tiny, np.ldexp(unit, -1000))
+
     @pytest.mark.parametrize("t", [1e200, 1e300])
     def test_ilt_curve_overflow_is_a_contour_error(self, t):
         # the count image lambda_image(p)(s)/s overflows at these |s|
