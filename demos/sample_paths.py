@@ -4,15 +4,16 @@
 The thinning engine works from the conditional intensity; the cluster
 engine builds the same law from Poisson immigrants with recursive
 kernel-delayed offspring.  This script draws a handful of paths from each,
-prints the event times of one path next to the conditional intensity just
-after each event, and writes all paths as (replica, k, T_k) rows.
+with one ``sample_paths`` call per engine, prints the event times of one
+path next to the conditional intensity just after each event, and writes
+all paths as (replica, k, T_k) rows.
 """
 
 import pathlib
 
 import numpy as np
 
-from fhawkes import ModelParams, intensity, simulate_cluster, simulate_thinning
+from fhawkes import ModelParams, intensity, sample_paths
 from fhawkes.io import write_events_csv
 
 OUT = pathlib.Path(__file__).resolve().parent / "out"
@@ -21,9 +22,9 @@ OUT.mkdir(exist_ok=True)
 p = ModelParams(lambda0=1.0, alpha=0.5, beta=0.5, gamma=1.0)
 HORIZON = 10.0
 
-paths = [simulate_thinning(p, HORIZON, seed=42, replica=r) for r in range(5)]
+paths = sample_paths(p, HORIZON, seed=42, replicas=range(5), engine="thinning")
 write_events_csv(OUT / "paths_thinning.csv", paths)
-cluster_paths = [simulate_cluster(p, HORIZON, seed=42, replica=r) for r in range(5)]
+cluster_paths = sample_paths(p, HORIZON, seed=42, replicas=range(5), engine="cluster")
 write_events_csv(OUT / "paths_cluster.csv", cluster_paths)
 
 seq = paths[0]

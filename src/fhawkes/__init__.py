@@ -39,6 +39,7 @@ from .laplace import IltResult, LaplaceImage, forward_lt, ilt, ilt_grid
 from .simulate import (
     EventSequence,
     intensity,
+    sample_paths,
     simulate_cluster,
     simulate_thinning,
 )

@@ -28,7 +28,7 @@ from .harness import (
 )
 from .io import write_curves_csv, write_dist_csv, write_events_csv, write_report_json
 from .laplace import ilt_grid
-from .simulate import _sampler
+from .simulate import sample_paths
 from .validation import run_validation
 
 _MODEL_FLAGS = ("lambda0", "alpha", "beta", "gamma")
@@ -174,8 +174,7 @@ def simulate_cmd(
 ):
     """Draw sample paths and write (replica, k, T_k) rows."""
     p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
-    draw = _sampler(engine, p, horizon)
-    seqs = [draw(seed, r) for r in range(replicas)]
+    seqs = sample_paths(p, horizon, seed, range(replicas), engine)
     write_events_csv(out, seqs)
     total = sum(len(s) for s in seqs)
     click.echo(f"wrote {total} events over {replicas} replicas to {out}")

@@ -90,6 +90,10 @@ def _invert(image, t):
     shape ``()`` for one image and ``(m,)`` for a family: the image is
     evaluated once, on the one node set of ``t``."""
     offset = image.sigma0 + _DECAY / (2.0 * t)
+    # a finite scale keeps the nodes, which grow like 300/t, finite too
+    scale = math.exp(offset * t) / t
+    if not math.isfinite(scale):
+        raise ContourError(f"contour scale overflows at t={t!r}")
     nodes = np.empty(_K_MID.size, dtype=complex)
     nodes.real = offset
     nodes.imag = _K_MID * (math.pi / t)
@@ -103,7 +107,6 @@ def _invert(image, t):
         )
     # midpoint nodes make exp(i*omega*t) = i*(-1)^(k-1): alternating series
     csum = np.cumsum(vals.imag * _SIGN, axis=-1)
-    scale = math.exp(offset * t) / t
     # Euler averaging of the last _EULER_TERMS + 1 partial sums ending at
     # index n + _EULER_TERMS, for n = _N_TERMS and its half; each row goes
     # through the 1-d dot product, whose bits a stacked (BLAS dgemv)
@@ -113,6 +116,8 @@ def _invert(image, t):
         full = scale * float(_EULER_WEIGHTS @ row[_N_TERMS - 1 :])
         half = scale * float(_EULER_WEIGHTS @ row[_HALF])
         est = abs(full - half)
+        if not math.isfinite(est):
+            raise ContourError(f"inversion overflows at t={t!r}")
         rel = est / max(abs(full), 1e-300)
         if rel > 10.0 * _TARGET_TOL:
             where = f" in row {j}" if vals.ndim > 1 else ""
@@ -150,7 +155,8 @@ def ilt(image: LaplaceImage, t: float) -> IltResult:
     DomainError
         If ``t`` is not positive and finite (NaN included).
     ContourError
-        If the image evaluates non-finite on a contour node.
+        If the image evaluates non-finite on a contour node, or the
+        inversion overflows (t below about 1e-304).
     """
     value, est = _invert(image, float(_positive_times(t)))
     if value.ndim == 0:
@@ -175,7 +181,8 @@ def ilt_grid(image: LaplaceImage, ts):
         image is called.
     ContourError
         If the image, any row of a family included, evaluates non-finite
-        on a contour node.
+        on a contour node, or the inversion overflows (t below about
+        1e-304).
     """
     ts = _positive_times(ts)
     if ts.size == 0:

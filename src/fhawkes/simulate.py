@@ -12,14 +12,17 @@ kernel, by two independent constructions:
 The exponential-kernel process, the reference of the beta -> 1 limit, is
 the one-component case of the thinning loop: the ``exp_hawkes`` engine.
 
-:func:`count_matrix` counts N(t) on many replicas of one engine, the Monte
-Carlo input of :mod:`fhawkes.harness` (which re-exports it), the CLI and
-the validation criteria.  Its thinning paths advance in lockstep: one
-vector step gives every active replica its next proposal, in blocks of at
-most ``_LOCKSTEP_BLOCK`` replicas.  Once fewer than ``_LOCKSTEP_MIN`` (K)
-replicas of a block are active, each finishes in the scalar loop, which
-also draws every single path.  Both read the same draws in the same order,
-so each path is the same, epoch for epoch, whatever the batch width.
+Every path comes through one route from ``(engine, p, horizon, seed,
+replica indices)`` to epochs, which checks its inputs and certifies the
+thinning kernel once per call: :func:`sample_paths` returns its paths,
+:func:`simulate_thinning` and :func:`simulate_cluster` one path, and
+:func:`count_matrix` counts N(t) on them for :mod:`fhawkes.harness`, the
+CLI and the validation criteria.  Thinning paths advance in lockstep, in
+blocks of at most ``_LOCKSTEP_BLOCK``: one vector step gives every active
+replica its next proposal.  Below ``_LOCKSTEP_MIN`` (K) active replicas,
+each finishes in the scalar loop, which also draws every batch narrower
+than K.  Both read the same draws in the same order, so each path is the
+same, epoch for epoch, whatever the batch width.
 
 All engines draw from counter-based generator streams keyed by
 ``(seed, engine, replica)``, so independent replicas are reproducible and
@@ -30,7 +33,6 @@ immigrant count makes that certain raises before drawing.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -46,6 +48,7 @@ __all__ = [
     "count_matrix",
     "intensity",
     "replica_stream",
+    "sample_paths",
     "simulate_cluster",
     "simulate_thinning",
 ]
@@ -249,10 +252,10 @@ def _thin(lam0, rates, jumps, horizon, draws, start=None) -> np.ndarray:
     return np.array(epochs)
 
 
-def _thin_lockstep(lam0, rates, jumps, times, rngs) -> np.ndarray:
-    """Counts N(times), one row per stream of ``rngs``, of the paths that
-    :func:`_thin` draws from ``_proposal_draws(rng)`` on ``(0, max(times)]``,
-    pair for pair and epoch for epoch.
+def _thin_lockstep(lam0, rates, jumps, horizon, rngs) -> list:
+    """Epochs on ``(0, horizon]``, one array per stream of ``rngs``, of the
+    paths that :func:`_thin` draws from ``_proposal_draws(rng)``, pair for
+    pair and epoch for epoch.
 
     While at least ``_LOCKSTEP_MIN`` paths are active, one step advances
     them all: one (paths x Q) ``exp``, one dot product per row (the same
@@ -260,10 +263,10 @@ def _thin_lockstep(lam0, rates, jumps, times, rngs) -> np.ndarray:
     accepted rows.  Every active path takes one pair per step, so all of
     them refill their 64-pair blocks together.  Below ``_LOCKSTEP_MIN``,
     each remaining path finishes in :func:`_thin`, resumed from its state
-    and its unread pairs."""
-    horizon = float(times.max())
+    and its unread pairs; fewer streams start there."""
+    if len(rngs) < _LOCKSTEP_MIN:
+        return [_thin(lam0, rates, jumps, horizon, _proposal_draws(rng)) for rng in rngs]
     jump = float(jumps.sum())
-    counts = np.zeros((len(rngs), times.size), dtype=np.int64)
     rows = np.arange(len(rngs))
     t, last = np.zeros(rows.size), np.zeros(rows.size)
     bound = np.full(rows.size, lam0)
@@ -273,6 +276,8 @@ def _thin_lockstep(lam0, rates, jumps, times, rngs) -> np.ndarray:
     # (paths x Q) work arrays, used through their leading rows
     arg_buf, decay_buf = np.empty_like(state), np.empty_like(state)
     live_buf = np.empty(state.shape, dtype=bool)
+    # the stream and epoch of every lockstep event, in order of time
+    hit, when = [np.empty(0, dtype=rows.dtype)], [np.empty(0)]
     k = 0
     while rows.size >= _LOCKSTEP_MIN:
         if k == steps.shape[1]:
@@ -301,8 +306,8 @@ def _thin_lockstep(lam0, rates, jumps, times, rngs) -> np.ndarray:
             np.copyto(last, t, where=accept)
             np.copyto(bound, lam + jump, where=accept)
             events += accept
-            acc = np.flatnonzero(accept)
-            counts[rows[acc]] += t[acc, None] <= times
+            hit.append(rows[accept])
+            when.append(t[accept])
             over = np.flatnonzero(events > DEFAULT_MAX_EVENTS)
             if over.size:
                 raise BudgetError(
@@ -313,12 +318,15 @@ def _thin_lockstep(lam0, rates, jumps, times, rngs) -> np.ndarray:
             rows, t, last, bound, events, state, steps, uniforms = (
                 a[keep] for a in (rows, t, last, bound, events, state, steps, uniforms)
             )
+    hit, when = np.concatenate(hit), np.concatenate(when)
+    when = when[np.argsort(hit, kind="stable")]
+    ends = np.cumsum(np.bincount(hit, minlength=len(rngs))).tolist()
+    paths = [when[a:b] for a, b in zip([0] + ends, ends)]
     for i, r in enumerate(rows.tolist()):
         draws = _proposal_draws(rngs[r], steps[i, k:].tolist(), uniforms[i, k:].tolist())
         start = (float(t[i]), float(last[i]), float(bound[i]), state[i], int(events[i]))
-        epochs = _thin(lam0, rates, jumps, horizon, draws, start)
-        counts[r] += np.searchsorted(epochs, times, side="right")
-    return counts
+        paths[r] = np.concatenate([paths[r], _thin(lam0, rates, jumps, horizon, draws, start)])
+    return paths
 
 
 def _check_budget_reachable(mean: float) -> None:
@@ -338,81 +346,66 @@ def _check_budget_reachable(mean: float) -> None:
         )
 
 
-def _thinning_kernel(engine: str, p: ModelParams, horizon: float):
-    """``(p, rates, jumps)`` of a thinning engine on ``(0, horizon]``: the
-    kernel surrogate built and certified, its weights scaled by ``alpha``.
-    ``exp_hawkes`` thins the exponential kernel with ``p``'s ``lambda0``,
-    ``alpha`` and ``gamma``, so its ``p`` has ``beta = 1``."""
+def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
+    """``(p, epochs)``: the model that draws the ``engine``'s paths (``beta``
+    1 for ``exp_hawkes``) and an iterator over each replica's epochs, drawn
+    a lockstep block at a time.  Every check runs once, before any stream is
+    keyed: the horizon, then the cluster's Poisson mean and ``alpha < 1``,
+    or the thinning event budget and kernel certification."""
+    _check_horizon(horizon)
+    if engine == "cluster":
+        _check_poisson_mean(p.lambda0 * horizon)
+        if p.alpha >= 1.0:
+            raise DomainError("subcritical branching requires alpha < 1")
+        return p, (_cluster(p, horizon, replica_stream(seed, engine, r)) for r in replicas)
     if engine == "exp_hawkes":
         p = replace(p, beta=1.0)
     elif engine != "thinning":
         raise DomainError(f"unknown engine {engine!r}")
     _check_budget_reachable(p.lambda0 * horizon)
     rates, weights = _exp_mixture(p.kernel(), horizon)
-    return p, rates, p.alpha * weights
+    jumps = p.alpha * weights
+
+    def blocks():
+        for lo in range(0, len(replicas), _LOCKSTEP_BLOCK):
+            rngs = [replica_stream(seed, engine, r) for r in replicas[lo:lo + _LOCKSTEP_BLOCK]]
+            yield from _thin_lockstep(p.lambda0, rates, jumps, horizon, rngs)
+
+    return p, blocks()
 
 
-def _sampler(engine: str, p: ModelParams, horizon: float):
-    """``draw(seed, replica=0)`` of one engine's paths on ``(0, horizon]``,
-    with the horizon checked and the thinning kernel built and certified
-    once for all of them.  A thinning path whose event budget is certain to
-    be passed raises BudgetError here, before any drawing."""
-    _check_horizon(horizon)
-    if engine == "cluster":
-        return functools.partial(simulate_cluster, p, horizon)
-    p, rates, jumps = _thinning_kernel(engine, p, horizon)
-
-    def draw(seed, replica=0):
-        rng = replica_stream(seed, engine, replica)
-        epochs = _thin(p.lambda0, rates, jumps, horizon, _proposal_draws(rng))
-        return EventSequence(epochs, horizon, seed, engine, replica, p)
-
-    return draw
+def sample_paths(
+    p: ModelParams, horizon: float, seed: int, replicas, engine: str = "thinning"
+) -> list[EventSequence]:
+    """Paths on ``(0, horizon]``, one per index of the sequence ``replicas``,
+    each from its own ``(seed, engine, replica)`` stream: ``"thinning"`` and
+    ``"cluster"`` as :func:`simulate_thinning` and :func:`simulate_cluster`
+    draw them, ``"exp_hawkes"`` the exponential-kernel process with ``p``'s
+    ``lambda0``, ``alpha`` and ``gamma``.  The thinning kernel is built and
+    certified once for all of them.  Raises as the one-path draws do, and
+    DomainError for an unknown engine or a negative replica index."""
+    p, paths = _paths(engine, p, horizon, seed, replicas)
+    return [EventSequence(e, horizon, seed, engine, r, p) for r, e in zip(replicas, paths)]
 
 
 def count_matrix(
     p: ModelParams, times, replicas: int, seed: int, engine: str = "thinning"
 ) -> np.ndarray:
-    """(replicas x len(times)) matrix of counts N(t), one simulated path per
-    row, all counted from the same path.  Row ``r`` is the path of replica
-    ``r`` on the ``engine``'s stream: ``"thinning"`` and ``"cluster"`` as
-    :func:`simulate_thinning` and :func:`simulate_cluster` draw it on
-    ``(0, max(times)]``, ``"exp_hawkes"`` the exponential-kernel process
-    with ``p``'s ``lambda0``, ``alpha`` and ``gamma``.  The thinning kernel
-    is built and certified once for all rows.  The two thinning engines
-    advance blocks of up to ``_LOCKSTEP_BLOCK`` = 512 rows in lockstep (see
-    :func:`_thin_lockstep`), so memory stays bounded.  Each row is the same
-    path whatever ``replicas`` is, so ``count_matrix(p, times, R,
-    seed)[:r]`` equals ``count_matrix(p, times, r, seed)``.
-
-    Raises
-    ------
-    DomainError
-        If ``times`` is empty, has a negative time or has largest entry 0
-        (no horizon), if ``replicas`` is negative, or for an unknown engine.
-    BudgetError
-        If a path passes ``DEFAULT_MAX_EVENTS`` events, or, for the thinning
-        engines, before any drawing when ``lambda0 * max(times)`` makes that
-        certain.
-    """
+    """(replicas x len(times)) matrix of counts N(t): row ``r`` counts the
+    path that :func:`sample_paths` draws for replica ``r`` on ``(0,
+    max(times)]``, so ``count_matrix(p, times, R, seed)[:r]`` equals
+    ``count_matrix(p, times, r, seed)``.  Raises DomainError if ``times`` is
+    empty, has a negative time or has largest entry 0 (no horizon), or if
+    ``replicas`` is negative, and otherwise as :func:`sample_paths` does."""
     times = np.asarray(times, dtype=float)
     if not (times.size > 0 and times.min() >= 0.0 and replicas >= 0):
         raise DomainError(
             "count_matrix needs at least one time, all times >= 0 and replicas >= 0"
         )
-    horizon = float(times.max())
-    _check_horizon(horizon)
+    _, paths = _paths(engine, p, float(times.max()), seed, range(replicas))
     out = np.empty((replicas, times.size), dtype=np.int64)
-    if engine == "cluster":
-        for r in range(replicas):
-            epochs = simulate_cluster(p, horizon, seed, r).epochs
-            out[r] = np.searchsorted(epochs, times, side="right")
-        return out
-    p, rates, jumps = _thinning_kernel(engine, p, horizon)
-    for lo in range(0, replicas, _LOCKSTEP_BLOCK):
-        rngs = [replica_stream(seed, engine, r)
-                for r in range(lo, min(lo + _LOCKSTEP_BLOCK, replicas))]
-        out[lo:lo + len(rngs)] = _thin_lockstep(p.lambda0, rates, jumps, times, rngs)
+    for r, epochs in enumerate(paths):
+        out[r] = epochs.searchsorted(times, side="right")
     return out
 
 
@@ -426,9 +419,9 @@ def simulate_thinning(
     event adds ``alpha`` times the surrogate's weights, so a proposal costs
     O(Q) whatever the history.  An event whose step does not advance the
     time in floating point moves to the next float after the last epoch.
-    :func:`count_matrix` certifies the surrogate once for all its paths.
+    :func:`sample_paths` certifies the surrogate once for many paths.
     """
-    return _sampler("thinning", p, horizon)(seed, replica)
+    return sample_paths(p, horizon, seed, [replica], "thinning")[0]
 
 
 def simulate_cluster(
@@ -445,11 +438,11 @@ def simulate_cluster(
     about 9.2e18, and BudgetError once the events pass
     ``DEFAULT_MAX_EVENTS``.
     """
-    _check_horizon(horizon)
-    _check_poisson_mean(p.lambda0 * horizon)
-    if p.alpha >= 1.0:
-        raise DomainError("subcritical branching requires alpha < 1")
-    rng = replica_stream(seed, "cluster", replica)
+    return sample_paths(p, horizon, seed, [replica], "cluster")[0]
+
+
+def _cluster(p: ModelParams, horizon: float, rng: np.random.Generator) -> np.ndarray:
+    """Epochs of one cluster path drawn from ``rng``, on inputs _paths checked."""
     kernel = p.kernel()
     n_imm = rng.poisson(p.lambda0 * horizon)
     if n_imm > DEFAULT_MAX_EVENTS:
@@ -476,4 +469,4 @@ def simulate_cluster(
         for i in range(stuck[0] + 1, epochs.size):
             epochs[i] = max(epochs[i], math.nextafter(epochs[i - 1], math.inf))
         epochs = epochs[epochs <= horizon]
-    return EventSequence(epochs, horizon, seed, "cluster", replica, p)
+    return epochs

@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fhawkes import ModelParams, simulate_thinning
 from fhawkes.cli import cli, main
-from fhawkes.io import read_curves_csv, read_dist_csv, read_events_csv
+from fhawkes.io import (
+    read_curves_csv,
+    read_dist_csv,
+    read_events_csv,
+    write_events_csv,
+)
 
 MODEL = ["--lambda0", "1.0", "--alpha", "0.1", "--beta", "0.5", "--gamma", "0.8"]
 
@@ -180,6 +186,21 @@ class TestSimulateCmd:
             assert res.exit_code == 0, res.output
             files.append(out.read_text())
         assert files[0] == files[1]
+
+    def test_replicas_are_the_one_path_draws(self, runner, tmp_path):
+        # 33 replicas run in lockstep; each path is the one simulate_thinning
+        # draws for its replica
+        out = tmp_path / "ev.csv"
+        res = runner.invoke(
+            cli,
+            ["simulate", *MODEL, "--horizon", "10", "--replicas", "33",
+             "--seed", "9", "--out", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        p = ModelParams(1.0, 0.1, 0.5, 0.8)
+        ref = tmp_path / "ref.csv"
+        write_events_csv(ref, [simulate_thinning(p, 10.0, 9, r) for r in range(33)])
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_infinite_horizon_is_numerical_failure(self, tmp_path):
         proc = subprocess.run(

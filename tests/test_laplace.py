@@ -87,6 +87,15 @@ C04_TIMES = np.geomspace(0.05, 50.0, 160)
 GROWING_PAIR = (lambda s: 1.0 / (s - 1.0), lambda t: np.exp(t), 1.0)
 
 
+# (ilt value, its estimate, expected_n_ilt_curve) at t = 1e-300 and 1e-303,
+# for ModelParams(1, 0.5, 0.5, 1): the smallest times whose contour scale
+# exp(offset*t)/t = e**12/t is finite
+TINY_TIME_BITS = {
+    1e-300: ("0x1.ffffffffb4656p-1", "0x1.2180000000000p-42", "0x1.56e1fc2ee85b1p-997"),
+    1e-303: ("0x1.ffffffffa788ep-1", "0x1.2ad0000000000p-41", "0x1.5f1ca81fa6bf9p-1007"),
+}
+
+
 class TestIlt:
     def test_constant(self):
         res = ilt(LaplaceImage(lambda s: 1.0 / s), 3.7)
@@ -145,6 +154,26 @@ class TestIlt:
 
         with pytest.raises(ContourError):
             ilt(LaplaceImage(bad_fn), 1.0)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-303, 1e-305, 1e-307])
+    def test_tiny_times(self, t):
+        # below about 1e-304 the contour scale overflows: ContourError, and
+        # no RuntimeWarning on the way
+        p = ModelParams(1.0, 0.5, 0.5, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if t not in TINY_TIME_BITS:
+                for call in (ilt, lambda image, t: ilt_grid(image, [t])):
+                    with pytest.raises(ContourError):
+                        call(lambda_image(p), t)
+                with pytest.raises(ContourError):
+                    expected_n_ilt_curve(p, [t])
+                return
+            value, est, count = (float.fromhex(h) for h in TINY_TIME_BITS[t])
+            assert tuple(ilt(lambda_image(p), t)) == (value, est)
+            vals, errs = ilt_grid(lambda_image(p), [t])
+            assert (vals.tolist(), errs.tolist()) == ([value], [est])
+            assert expected_n_ilt_curve(p, [t]).tolist() == [count]
 
     def test_convergence_warning_on_hard_image(self):
         # a delayed step, whose image does not decay along the contour,

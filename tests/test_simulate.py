@@ -21,12 +21,13 @@ from fhawkes import (
     intensity,
     ml_density,
     ml_one,
+    sample_paths,
     simulate_cluster,
     simulate_thinning,
 )
 from fhawkes import simulate
 from fhawkes.harness import count_matrix
-from fhawkes.simulate import _exp_mixture, _sampler, replica_stream
+from fhawkes.simulate import _exp_mixture, replica_stream
 
 E_055_M01 = 0.47454388555084361831  # E_{0.5,0.5}(-0.1)
 
@@ -199,7 +200,7 @@ class TestExpHawkes:
     def test_jump_size_at_events(self):
         # kernel value at lag 0+ is gamma, so the intensity jumps by alpha*gamma
         p = ModelParams(1.0, 0.5, 1.0, 2.0)
-        seq = _sampler("exp_hawkes", ModelParams(1.0, 0.5, 0.7, 2.0), 20.0)(43)
+        seq = sample_paths(ModelParams(1.0, 0.5, 0.7, 2.0), 20.0, 43, [0], "exp_hawkes")[0]
         t1 = seq.epochs[0]
         before = intensity(t1, seq, p)
         after = intensity(t1 + 1e-12, seq, p)
@@ -219,7 +220,7 @@ class TestStreams:
         sims = {
             "thinning": lambda r: simulate_thinning(P_STRONG, 10.0, 11, r),
             "cluster": lambda r: simulate_cluster(P_STRONG, 10.0, 11, r),
-            "exp_hawkes": lambda r: _sampler("exp_hawkes", P_STRONG, 10.0)(11, r),
+            "exp_hawkes": lambda r: sample_paths(P_STRONG, 10.0, 11, [r], "exp_hawkes")[0],
         }
         for engine, sim in sims.items():
             rows = count_matrix(P_STRONG, times, 4, 11, engine)
@@ -271,6 +272,45 @@ class TestStreams:
         late = replica_stream(9, "thinning", 500).random(3)
         again = replica_stream(9, "thinning", 500).random(3)
         np.testing.assert_array_equal(late, again)
+
+
+def _one_path(engine, p, horizon, seed, replica):
+    """The engine's path of one replica, drawn alone."""
+    if engine == "thinning":
+        return simulate_thinning(p, horizon, seed, replica)
+    if engine == "cluster":
+        return simulate_cluster(p, horizon, seed, replica)
+    return sample_paths(p, horizon, seed, [replica], engine)[0]
+
+
+class TestSamplePaths:
+    @pytest.mark.parametrize("engine", ["thinning", "cluster", "exp_hawkes"])
+    def test_paths_are_the_one_path_draws(self, engine):
+        # widths 1, K and 2K + 1 reach the scalar loop, one lockstep block
+        # and a block that hands its last paths to the scalar loop
+        k = simulate._LOCKSTEP_MIN
+        for width in (1, k, 2 * k + 1):
+            replicas = range(7, 7 + width)
+            paths = sample_paths(P_STRONG, 10.0, 11, replicas, engine)
+            assert [s.replica for s in paths] == list(replicas)
+            for seq in paths:
+                one = _one_path(engine, P_STRONG, 10.0, 11, seq.replica)
+                np.testing.assert_array_equal(seq.epochs, one.epochs)
+                assert (seq.horizon, seq.seed, seq.engine, seq.params) == (
+                    one.horizon, one.seed, one.engine, one.params)
+
+    @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes"])
+    def test_kernel_certified_once(self, engine, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _exp_mixture(*args)
+
+        monkeypatch.setattr(simulate, "_exp_mixture", counted)
+        paths = sample_paths(P_STRONG, 10.0, 3, range(2 * simulate._LOCKSTEP_MIN + 1), engine)
+        assert len(paths) == 2 * simulate._LOCKSTEP_MIN + 1
+        assert len(calls) == 1
 
 
 # count_matrix(P_STRONG, (1, 5, 10), 33, 11, engine) as the one-replica-at-
@@ -325,14 +365,13 @@ class TestLockstep:
         wide = 2 * simulate._LOCKSTEP_MIN + 1
         draws = [simulate._proposal_draws(TinySteps(r)) for r in range(wide)]
         paths = [simulate._thin(1.0, rates, jumps, 5.0, d) for d in draws]
-        epochs = np.concatenate(paths)
         assert all(np.all(np.diff(path) > 0.0) for path in paths)
         assert np.any(np.diff(paths[0]) <= np.spacing(paths[0][1:]))
-        times = np.concatenate([epochs, np.nextafter(epochs, 0.0), [5.0]])
-        got = simulate._thin_lockstep(1.0, rates, jumps, times,
+        got = simulate._thin_lockstep(1.0, rates, jumps, 5.0,
                                       [TinySteps(r) for r in range(wide)])
-        want = [np.searchsorted(path, times, side="right") for path in paths]
-        np.testing.assert_array_equal(got, want)
+        assert len(got) == wide
+        for lockstep, scalar in zip(got, paths):
+            np.testing.assert_array_equal(lockstep, scalar)
 
     @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes"])
     def test_budget_error_in_lockstep(self, engine, monkeypatch):
@@ -436,8 +475,8 @@ class TestFiniteInputs:
         p = ModelParams(1, 0.5, 1, 1)
         assert all(type(v) is float for v in (p.lambda0, p.beta, p.gamma))
         assert type(MLKernelParams(1, 2).gamma) is float
-        seq = _sampler("exp_hawkes", p, 10)(1)
-        ref = _sampler("exp_hawkes", ModelParams(1.0, 0.5, 1.0, 1.0), 10.0)(1)
+        seq = sample_paths(p, 10, 1, [0], "exp_hawkes")[0]
+        ref = sample_paths(ModelParams(1.0, 0.5, 1.0, 1.0), 10.0, 1, [0], "exp_hawkes")[0]
         np.testing.assert_array_equal(seq.epochs, ref.epochs)
         path = simulate_thinning(p, 10, 1)
         np.testing.assert_array_equal(
@@ -454,6 +493,9 @@ class TestFiniteInputs:
             replica_stream(seed, "thinning", replica)
         with pytest.raises(DomainError):
             simulate_cluster(P_WEAK, 1.0, seed, replica)
+        for engine in ("thinning", "cluster", "exp_hawkes"):
+            with pytest.raises(DomainError):
+                sample_paths(P_WEAK, 1.0, seed, [0, replica], engine)
 
     def test_poisson_mean_past_numpy_range(self):
         # numpy's Poisson sampler rejects means above about 9.2e18

@@ -3,11 +3,11 @@ density, spectral density, erfcx, and exact sampling.
 
 Frozen reference values were computed with the independent high-precision
 oracle in ``tests/oracle.py`` (adaptive-precision series plus branch-cut
-quadrature); regenerate the table with ``python3 tests/gen_fixtures.py``.
-The checks near ``beta = 1`` call the oracle directly.
+quadrature); regenerate the tables with ``python3 tests/gen_fixtures.py``.
+The checks near ``beta = 1`` read their own table, and the oracle's
+branch-cut route is checked live against its series.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -31,7 +31,7 @@ from fhawkes import (
 )
 from fhawkes import special
 from fhawkes.simulate import intensity, replica_stream, simulate_cluster
-from oracle import ml_density_oracle, prabhakar_oracle, prabhakar_series
+from oracle import prabhakar_oracle, prabhakar_series
 
 # oracle values, 20 significant digits
 ERFCX_1 = 0.42758357615580700441
@@ -118,18 +118,15 @@ class TestPrabhakar:
 
 # E_{a,a}(-x) at a = 0.9999, beyond the oracle's series range (z < -30): its
 # branch-cut integrand spikes at r = x**(1/a), relative width pi*(1-a)/a
-_NEAR_ONE_ORACLE = functools.lru_cache(prabhakar_oracle)
-
-
 class TestOracleNearOrderOne:
     def test_branch_cut_matches_series(self):
         ref = prabhakar_series(0.9999, 0.9999, 1.0, -33.0)
-        got = _NEAR_ONE_ORACLE(0.9999, 0.9999, 1.0, -33.0)
+        got = prabhakar_oracle(0.9999, 0.9999, 1.0, -33.0)
         assert abs(got - ref) <= 1e-40 * abs(ref)
 
     @pytest.mark.parametrize("z", [-33.0, -37.17])
-    def test_library_matches_oracle(self, z):
-        ref = float(_NEAR_ONE_ORACLE(0.9999, 0.9999, 1.0, z))
+    def test_library_matches_oracle(self, z, near_one_table):
+        ref = near_one_table["prabhakar", 0.9999, z]
         assert prabhakar(0.9999, 0.9999, 1.0, z) == pytest.approx(
             ref, rel=1e-12, abs=0.0
         )
@@ -270,12 +267,12 @@ class TestMlDensity:
                     ml_density(t, MLKernelParams(beta, 1.0))
 
     @pytest.mark.parametrize("beta", [0.999, 0.9999])
-    def test_near_exponential_vs_oracle(self, beta):
+    def test_near_exponential_vs_oracle(self, beta, near_one_table):
         # the spectral quadrature resolves the mixing density's pole, whose
         # width sin((1-beta)*pi) shrinks as beta -> 1
         k = MLKernelParams(beta, 1.0)
         for t in (0.05, 0.5, 2.0, 4.5, 8.0, 20.0, 100.0, 1e3, 1e4):
-            ref = float(ml_density_oracle(t, beta, 1.0))
+            ref = near_one_table["ml_density", beta, t]
             assert ml_density(t, k) == pytest.approx(ref, rel=1e-12, abs=0.0), t
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9, 0.99])
