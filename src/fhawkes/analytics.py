@@ -55,10 +55,7 @@ class ModelParams:
             )
         if not 0.0 <= self.alpha < 1.0:
             raise DomainError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not 0.0 < self.beta <= 1.0:
-            raise DomainError(f"beta must be in (0, 1], got {self.beta}")
-        if not 0.0 < self.gamma < math.inf:
-            raise DomainError(f"gamma must be positive and finite, got {self.gamma}")
+        self.kernel()  # the kernel checks beta and gamma
 
     def kernel(self) -> MLKernelParams:
         return MLKernelParams(self.beta, self.gamma)

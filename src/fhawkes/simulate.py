@@ -122,7 +122,8 @@ class EventSequence:
     params: ModelParams | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        epochs = np.asarray(self.epochs, dtype=float)
+        # a copy, so a path drawn in a lockstep block does not pin the block
+        epochs = np.array(self.epochs, dtype=float)
         object.__setattr__(self, "epochs", epochs)
         if self.engine not in ENGINES:
             raise DomainError(f"unknown engine {self.engine!r}")
@@ -350,13 +351,12 @@ def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
     """``(p, epochs)``: the model that draws the ``engine``'s paths (``beta``
     1 for ``exp_hawkes``) and an iterator over each replica's epochs, drawn
     a lockstep block at a time.  Every check runs once, before any stream is
-    keyed: the horizon, then the cluster's Poisson mean and ``alpha < 1``,
-    or the thinning event budget and kernel certification."""
+    keyed: the horizon, then the cluster's Poisson mean (``ModelParams``
+    holds ``alpha < 1``), or the thinning event budget and kernel
+    certification."""
     _check_horizon(horizon)
     if engine == "cluster":
         _check_poisson_mean(p.lambda0 * horizon)
-        if p.alpha >= 1.0:
-            raise DomainError("subcritical branching requires alpha < 1")
         return p, (_cluster(p, horizon, replica_stream(seed, engine, r)) for r in replicas)
     if engine == "exp_hawkes":
         p = replace(p, beta=1.0)

@@ -16,10 +16,13 @@ Evaluation of ``E_{a,b}^c(z)`` on the real axis uses three regimes:
 * a parabolic Bromwich contour, vectorised over the arguments, for every
   other shape, accepted only while its conditioning estimate stays small.
 
-The series and the large-argument regimes are cross-checked on the band
-where they overlap; a disagreement, or a contour evaluation whose
-conditioning exceeds its budget, raises
-:class:`~fhawkes.errors.AccuracyError`.
+Every argument the series rejects or does not reach goes through the
+large-argument regimes in one pass per call, together with each argument
+the series accepts on the band where the regimes overlap, which that pass
+cross-checks.  A contour evaluation anywhere in that pass whose
+conditioning exceeds its budget raises
+:class:`~fhawkes.errors.AccuracyError`, and so, after it, does a band
+disagreement.
 """
 
 from __future__ import annotations
@@ -249,10 +252,14 @@ _XI_LADDER = np.array(
 _HEAD_M = np.arange(48, dtype=float)
 
 
-def _spectral_mixture(a, x, moment):
-    """``int_0^inf exp(-xi) * xi**(a-1+moment) / D((xi**a)/x) dxi`` per x,
-    where ``D(u) = u**2 + 2*u*cos(a*pi) + 1`` is the reciprocal denominator
-    of the mixing density, written in the exponent variable.
+def _spectral(a, x, moment):
+    """E_{a,1}(-x) (``moment=0``) or E_{a,a}(-x) (``moment=1``) for x > 0 via
+    the completely monotone mixture integral
+    ``int_0^inf exp(-xi) * xi**(a-1+moment) / D((xi**a)/x) dxi``, where
+    ``D(u) = u**2 + 2*u*cos(a*pi) + 1`` is the reciprocal denominator of the
+    mixing density, written in the exponent variable.  The leading behavior,
+    1/(x*Gamma(1-a)) or a multiple of x**-2, is factored analytically, so no
+    overflow.
 
     The head panel ``[0, xi_1]``, where the fractional power ``xi**a`` inside
     ``D`` defeats polynomial quadrature, is integrated exactly: ``1/D`` is a
@@ -268,11 +275,12 @@ def _spectral_mixture(a, x, moment):
     spsi = math.sin(psi)
     power = a - 1.0 + moment
 
-    # head: sum_m U_m(cos psi) x^-m * gamma_lower(a*(m+1)+moment, xi_1)
+    # head: sum_m U_m(cos psi) x^-m * gamma_lower(a*(m+1)+moment, xi_1), the
+    # unregularized lower incomplete gamma
     xi1 = _XI_LADDER[0]
     cheb = np.sin((_HEAD_M + 1.0) * psi) / spsi
     svals = a * (_HEAD_M + 1.0) + moment
-    glow = _gammainc_lower(svals, xi1)
+    glow = gammainc(svals, xi1) * _gamma_fn(svals)
     with np.errstate(under="ignore"):
         head = (cheb * glow)[None, :] * x[:, None] ** (-_HEAD_M)[None, :]
     first = np.sum(head, axis=1)
@@ -298,22 +306,7 @@ def _spectral_mixture(a, x, moment):
     dd = (u - cpsi) ** 2 + spsi * spsi
     vals = np.exp(-nodes) * nodes ** power / dd
     rest = np.sum(weights * vals, axis=(1, 2))
-    return first + rest
-
-
-def _gammainc_lower(s, xi):
-    """Unregularized lower incomplete gamma, ``int_0^xi t^(s-1) e^-t dt``."""
-    return gammainc(s, xi) * _gamma_fn(s)
-
-
-def _spectral(a, x, moment):
-    """E_{a,1}(-x) (``moment=0``) or E_{a,a}(-x) (``moment=1``) for x > 0 via
-    the completely monotone mixture integral; the leading behavior,
-    1/(x*Gamma(1-a)) or a multiple of x**-2, is factored analytically, so no
-    overflow."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    total = _spectral_mixture(a, x, moment)
-    return math.sin((1.0 - a) * math.pi) / math.pi * total / x ** (1.0 + moment)
+    return spsi / math.pi * (first + rest) / x ** (1.0 + moment)
 
 
 # Parabolic Bromwich contour tuned once for unit time.  The integrand's
@@ -358,33 +351,13 @@ def _closed_form_a1(b, c, z):
     return hyp1f1(c, b, z) * rgamma(b)
 
 
-def _eval_large_neg(a, b, c, z):
-    """E_{a,b}^c at a batch of strictly negative z that the series rejects
-    or does not reach: the positive-integrand spectral quadrature for
-    ``c = 1`` with ``b = 1`` or ``b = a``, the parabolic contour for every
-    other shape.  Raises AccuracyError if the contour's conditioning
-    estimate exceeds its budget."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    rest = np.ones(z.shape, dtype=bool)
-    if c == 1.0 and b in (1.0, a):
-        rest = z > -0.6
-        out[~rest] = _spectral(a, -z[~rest], 0.0 if b == 1.0 else 1.0)
-    if rest.any():
-        vals, cond = _contour_sum(a, b, c, z[rest])
-        if np.any(cond > 1e-9):
-            worst = float(np.max(cond))
-            raise AccuracyError(
-                f"contour regime conditioning {worst:.2e} exceeds budget "
-                f"for E_{{{a},{b}}}^{c} at z in "
-                f"[{z[rest].min()}, {z[rest].max()}]"
-            )
-        out[rest] = vals
-    return out
-
-
 def _eval_batch(a, b, c, z):
-    """Dispatch a 1-d array of arguments across evaluation regimes."""
+    """Dispatch a 1-d array of arguments across evaluation regimes: the
+    series for every nonzero ``z >= -40``, then one large-argument pass over
+    every argument the series rejects or does not reach and each band
+    argument it accepts, where the pass cross-checks the series.  A contour
+    conditioning error in the pass comes before a band disagreement, and its
+    z-range spans the band and large arguments together."""
     out = np.full_like(z, rgamma(b))  # the value at z = 0
     series = z >= -40.0
     cand = (series & (z != 0.0)).nonzero()[0]
@@ -400,22 +373,38 @@ def _eval_batch(a, b, c, z):
                 "converge within the term budget or the double range"
             )
         large[cand[~ok]] = True
-    band = ok & (zs >= _BAND_LO) & (zs <= _BAND_HI)
-    if band.any():
-        zb, val = zs[band], vals[band]
-        alt = _eval_large_neg(a, b, c, zb)
-        denom = np.maximum(np.abs(val), np.abs(alt))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.abs(val - alt) / denom
-        apart = np.flatnonzero((denom > 0.0) & (gap > _CROSSCHECK_RTOL))
-        if apart.size:
-            i = apart[0]
+    band = np.zeros_like(large)
+    band[cand[ok & (zs >= _BAND_LO) & (zs <= _BAND_HI)]] = True
+    rows = large | band
+    if not rows.any():
+        return out
+    zl = z[rows]
+    alt = np.empty_like(zl)
+    contour = np.ones(zl.shape, dtype=bool)
+    if c == 1.0 and b in (1.0, a):
+        contour = zl > -0.6
+        alt[~contour] = _spectral(a, -zl[~contour], 0.0 if b == 1.0 else 1.0)
+    if contour.any():
+        alt[contour], cond = _contour_sum(a, b, c, zl[contour])
+        if np.any(cond > 1e-9):
             raise AccuracyError(
-                f"series/large-argument regimes disagree at "
-                f"z={zb[i]}: {float(val[i])!r} vs {float(alt[i])!r}"
+                f"contour regime conditioning {float(np.max(cond)):.2e} exceeds "
+                f"budget for E_{{{a},{b}}}^{c} at z in "
+                f"[{zl[contour].min()}, {zl[contour].max()}]"
             )
-    if large.any():
-        out[large] = _eval_large_neg(a, b, c, z[large])
+    check = band[rows]
+    zb, val, ref = zl[check], out[rows][check], alt[check]
+    denom = np.maximum(np.abs(val), np.abs(ref))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.abs(val - ref) / denom
+    apart = np.flatnonzero((denom > 0.0) & (gap > _CROSSCHECK_RTOL))
+    if apart.size:
+        i = apart[0]
+        raise AccuracyError(
+            f"series/large-argument regimes disagree at "
+            f"z={zb[i]}: {float(val[i])!r} vs {float(ref[i])!r}"
+        )
+    out[large] = alt[~check]
     return out
 
 

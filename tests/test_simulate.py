@@ -312,6 +312,12 @@ class TestSamplePaths:
         assert len(paths) == 2 * simulate._LOCKSTEP_MIN + 1
         assert len(calls) == 1
 
+    def test_paths_own_their_epochs(self):
+        # a lockstep block's paths are copies, so keeping one path does not
+        # keep the block's epoch array alive
+        paths = sample_paths(ModelParams(1.0, 0.5, 0.5, 1.0), 10.0, 1, range(32))
+        assert all(seq.epochs.base is None for seq in paths)
+
 
 # count_matrix(P_STRONG, (1, 5, 10), 33, 11, engine) as the one-replica-at-
 # a-time thinning loop drew it before the lockstep engine

@@ -169,6 +169,21 @@ class TestBatchedSeries:
                 _bits(prabhakar(*shape, _MIXED_Z[keep])), _bits(full[keep])
             )
 
+    def test_one_large_argument_pass(self, monkeypatch):
+        # the series accepts -4.5 on the hand-off band, so its cross-check
+        # shares the one contour call with the large argument -50
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return contour(*args)
+
+        contour = special._contour_sum
+        monkeypatch.setattr(special, "_contour_sum", counted)
+        prabhakar(0.9, 2.0, 1.0, np.array([-4.5, -50.0]))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][3], [-4.5, -50.0])
+
     def test_intensity_on_long_path_matches_erfcx_form(self):
         p = ModelParams(1.0, 0.5, 0.5, 1.0)
         path = simulate_cluster(p, 1000.0, seed=3)
