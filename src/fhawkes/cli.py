@@ -227,9 +227,12 @@ def validate_cmd(smoke, seed, out):
     report = run_validation(smoke=smoke, seed=seed)
     for rec in report["criteria"]:
         status = "PASS" if rec["passed"] else "FAIL"
+        # a criterion with several rules names the ones that failed
+        failed = rec.get("details", {}).get("failed")
         click.echo(
             f"[{status}] {rec['name']}: measured {rec['measured']:.4g} "
             f"vs bound {rec['bound']:.4g} ({rec['seconds']:.1f}s)"
+            + (f"; failed: {', '.join(failed)}" if failed else "")
         )
     if out:
         write_report_json(out, report)

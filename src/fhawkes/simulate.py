@@ -4,8 +4,11 @@ kernel, by two independent constructions:
 * exact thinning of the process whose kernel is a certified
   sum-of-exponentials surrogate of the Mittag-Leffler density: the
   intensity is a vector of exponentially decaying components, so each
-  proposal costs O(Q) for Q components, and it never increases between
-  events, so the intensity at the last proposal is a valid dominating rate;
+  proposal costs O(Q) for Q components.  The dominating rate is the
+  intensity just before the last event, which bounds the part of the
+  intensity that never increases between events, plus a step envelope of
+  the last event's own kernel, tabulated once per kernel at two cells per
+  octave of lag (Lewis & Shedler 1979; Ogata 1981);
 * the branching (immigrants-and-offspring) representation, where each event
   spawns a Poisson(alpha) number of children at kernel-distributed delays.
 
@@ -34,6 +37,7 @@ immigrant count makes that certain raises before drawing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -80,6 +84,11 @@ _BUDGET_CERTAIN = 1e-12
 _LOCKSTEP_MIN, _LOCKSTEP_BLOCK = 16, 512
 # exp(x) rounds to 0.0 for every x below -745.14
 _EXP_ZERO = -746.0
+# the thinning envelope's first cell past lag 0 starts at 2**-40 (about
+# 1e-12), where every rate of the surrogate has decayed by at most 2%; its
+# levels sit a relative 1e-12 above the kernel, more than the rounding of
+# a sum of the kernel's Q positive terms in any order
+_ENVELOPE_LOG2_MIN, _ENVELOPE_MARGIN = -40, 1.0 + 1e-12
 
 
 def replica_stream(seed: int, engine: str, replica: int = 0) -> np.random.Generator:
@@ -207,35 +216,71 @@ def _exp_mixture(kernel: MLKernelParams, horizon: float):
     return rates, weights
 
 
+def _envelope(rates, jumps, horizon: float):
+    """``(lags, levels, cum)``: a step envelope of the last event's kernel
+    ``k(lag) = sum_q jumps_q * exp(-rates_q * lag)``.  Cell ``j`` covers
+    lags ``[lags[j], lags[j+1])``, the last one unbounded, at level
+    ``levels[j] = k(lags[j])`` (times ``_ENVELOPE_MARGIN``), which
+    dominates ``k`` on the cell since ``k`` decreases; ``cum[j]`` is the
+    envelope's integral up to ``lags[j]``.  The cells start at 0,
+    ``2**_ENVELOPE_LOG2_MIN`` (about 1e-12) and every half octave after
+    it, past the horizon; a cell whose level underflows to 0 adds nothing
+    to ``cum``."""
+    top = max(math.ceil(2.0 * math.log2(horizon)) + 1, 2 * _ENVELOPE_LOG2_MIN)
+    lags = np.append(0.0, np.exp2(0.5 * np.arange(2 * _ENVELOPE_LOG2_MIN, top + 1)))
+    levels = _ENVELOPE_MARGIN * (np.exp(-np.outer(lags, rates)) @ jumps)
+    cum = np.append(0.0, np.cumsum(levels[:-1] * np.diff(lags)))
+    return lags, levels, cum
+
+
 def _proposal_draws(rng: np.random.Generator, steps=(), uniforms=()):
-    """Endless (standard exponential, uniform) pairs: the given ones, then
-    pairs drawn from ``rng`` 64 at a time."""
+    """Endless proposal draws ``((step, env_step), u)``: a standard
+    exponential to the next point of the constant part of the dominating
+    rate, one to the next point of the envelope part, and the acceptance
+    uniform.  The given ones come first, then 64 at a time from ``rng``:
+    a (64 x 2) array of standard exponentials, then 64 uniforms."""
     yield from zip(steps, uniforms)
     while True:
-        yield from zip(rng.standard_exponential(64).tolist(), rng.random(64).tolist())
+        yield from zip(rng.standard_exponential((64, 2)).tolist(), rng.random(64).tolist())
 
 
-def _thin(lam0, rates, jumps, horizon, draws, start=None) -> np.ndarray:
+def _thin(lam0, rates, jumps, envelope, horizon, draws, start=None) -> np.ndarray:
     """Thinning epochs on ``(0, horizon]`` for the intensity
     ``lam0 + sum_q jumps_q * sum_{T_k < t} exp(-rates_q * (t - T_k))``, kept
-    per component at the last epoch.  It never increases between events, so
-    its value at the last proposal is a valid bound until the next event.
-    ``start = (t, last, bound, state, events)`` resumes a path at time ``t``
-    after ``events`` epochs, the last at ``last``; only the new epochs are
-    returned."""
-    t, last, bound, state, events = start or (0.0, 0.0, lam0, np.zeros_like(rates), 0)
+    per component at the last epoch.
+
+    The dominating rate is ``bound + E(t - last)``, with ``E`` the step
+    envelope of :func:`_envelope`.  The intensity less the last event's own
+    kernel never increases between events, so ``bound``, the intensity
+    just before the last event, bounds it; each rejection lowers ``bound``
+    to the intensity there.  A proposal is the earlier of the next points
+    of Poisson(bound) and Poisson(E): the second inverts the envelope's
+    cumulative ``cum`` with a bisect, from ``pos``, its value at the
+    current lag.  ``start = (t, last, bound, pos, state, events)`` resumes
+    a path at time ``t`` after ``events`` epochs, the last at ``last``;
+    only the new epochs are returned."""
+    lags, levels, cum = (a.tolist() for a in envelope)
+    t, last, bound, pos, state, events = start or (
+        0.0, 0.0, lam0, 0.0, np.zeros_like(rates), 0)
     decay = np.empty_like(rates)
-    jump = float(jumps.sum())
     epochs = []
-    for step, u in draws:
-        t += step / bound
+    for (step, env_step), u in draws:
+        target = pos + env_step
+        t_env = math.inf
+        if target < cum[-1]:
+            i = bisect_right(cum, target) - 1
+            t_env = last + (lags[i] + (target - cum[i]) / levels[i])
+        t = min(t + step / bound, t_env)
         if t > horizon:
             break
-        np.multiply(rates, last - t, out=decay)
+        lag = t - last
+        j = bisect_right(lags, lag) - 1
+        np.multiply(rates, -lag, out=decay)
         np.exp(decay, out=decay)
         lam = lam0 + float(decay.dot(state))
-        if u * bound > lam:
+        if u * (bound + levels[j]) > lam:
             bound = lam
+            pos = cum[j] + levels[j] * (lag - lags[j])
             continue
         # a step below one ulp of t would repeat the last epoch
         t = max(t, math.nextafter(last, math.inf))
@@ -249,27 +294,31 @@ def _thin(lam0, rates, jumps, horizon, draws, start=None) -> np.ndarray:
             raise BudgetError(
                 f"thinning exceeded {DEFAULT_MAX_EVENTS} events by t={t:g}"
             )
-        bound = lam + jump
+        bound, pos = lam, 0.0
     return np.array(epochs)
 
 
-def _thin_lockstep(lam0, rates, jumps, horizon, rngs) -> list:
+def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     """Epochs on ``(0, horizon]``, one array per stream of ``rngs``, of the
-    paths that :func:`_thin` draws from ``_proposal_draws(rng)``, pair for
-    pair and epoch for epoch.
+    paths that :func:`_thin` draws from ``_proposal_draws(rng)``, draw for
+    draw and epoch for epoch.
 
     While at least ``_LOCKSTEP_MIN`` paths are active, one step advances
-    them all: one (paths x Q) ``exp``, one dot product per row (the same
-    BLAS ``ddot`` as ``_thin``'s), one accept mask, and state updates on the
-    accepted rows.  Every active path takes one pair per step, so all of
-    them refill their 64-pair blocks together.  Below ``_LOCKSTEP_MIN``,
-    each remaining path finishes in :func:`_thin`, resumed from its state
-    and its unread pairs; fewer streams start there."""
+    them all: two ``searchsorted`` calls on the envelope, one (paths x Q)
+    ``exp``, one dot product per row (the same BLAS ``ddot`` as
+    ``_thin``'s), one accept mask, and state updates on the accepted rows,
+    with the same float operations as ``_thin``.  Every active path takes
+    one proposal per step, so all of them refill their 64-proposal blocks
+    together.  Each event goes into one flat buffer of (stream, epoch)
+    pairs that doubles when full.  Below ``_LOCKSTEP_MIN``, each remaining
+    path finishes in :func:`_thin`, resumed from its state and its unread
+    draws; fewer streams start there."""
     if len(rngs) < _LOCKSTEP_MIN:
-        return [_thin(lam0, rates, jumps, horizon, _proposal_draws(rng)) for rng in rngs]
-    jump = float(jumps.sum())
+        return [_thin(lam0, rates, jumps, envelope, horizon, _proposal_draws(rng))
+                for rng in rngs]
+    lags, levels, cum = envelope
     rows = np.arange(len(rngs))
-    t, last = np.zeros(rows.size), np.zeros(rows.size)
+    t, last, pos = np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size)
     bound = np.full(rows.size, lam0)
     events = np.zeros(rows.size, dtype=np.int64)
     state = np.zeros((rows.size, rates.size))
@@ -278,25 +327,35 @@ def _thin_lockstep(lam0, rates, jumps, horizon, rngs) -> list:
     arg_buf, decay_buf = np.empty_like(state), np.empty_like(state)
     live_buf = np.empty(state.shape, dtype=bool)
     # the stream and epoch of every lockstep event, in order of time
-    hit, when = [np.empty(0, dtype=rows.dtype)], [np.empty(0)]
+    hit = np.empty(64 * rows.size, dtype=np.min_scalar_type(rows.size))
+    when = np.empty(hit.size)
+    fill = 0
     k = 0
     while rows.size >= _LOCKSTEP_MIN:
-        if k == steps.shape[1]:
-            steps = np.array([rngs[r].standard_exponential(64) for r in rows])
+        if k == uniforms.shape[1]:
+            steps = np.array([rngs[r].standard_exponential((64, 2)) for r in rows])
             uniforms = np.array([rngs[r].random(64) for r in rows])
             k = 0
-        t += steps[:, k] / bound
         n = rows.size
+        target = pos + steps[:, k, 1]
+        i = cum.searchsorted(target, side="right") - 1
+        env_lag = np.full(n, math.inf)
+        np.divide(target - cum[i], levels[i], out=env_lag, where=target < cum[-1])
+        np.minimum(t + steps[:, k, 0] / bound, last + (lags[i] + env_lag), out=t)
+        lag = t - last
+        j = lags.searchsorted(lag, side="right") - 1
+        level = levels[j]
         arg, decay, live = arg_buf[:n], decay_buf[:n], live_buf[:n]
-        np.multiply.outer(last - t, rates, out=arg)
+        np.multiply.outer(-lag, rates, out=arg)
         # exp is slow where it underflows; below _EXP_ZERO it is 0.0 exactly
         np.greater(arg, _EXP_ZERO, out=live)
         decay.fill(0.0)
         np.exp(arg, out=decay, where=live)
         lam = lam0 + np.matmul(decay[:, None, :], state[:, :, None])[:, 0, 0]
-        accept = uniforms[:, k] * bound <= lam
+        accept = uniforms[:, k] * (bound + level) <= lam
         k += 1
         np.copyto(bound, lam, where=~accept)
+        np.copyto(pos, cum[j] + level * (lag - lags[j]), where=~accept)
         # a step below one ulp of t would repeat the last epoch
         np.maximum(t, np.nextafter(last, math.inf), out=t, where=accept)
         done = t > horizon
@@ -305,10 +364,15 @@ def _thin_lockstep(lam0, rates, jumps, horizon, rngs) -> list:
             np.multiply(state, decay, out=state, where=accept[:, None])
             np.add(state, jumps, out=state, where=accept[:, None])
             np.copyto(last, t, where=accept)
-            np.copyto(bound, lam + jump, where=accept)
+            np.copyto(bound, lam, where=accept)
+            np.copyto(pos, 0.0, where=accept)
             events += accept
-            hit.append(rows[accept])
-            when.append(t[accept])
+            new = rows[accept]
+            if fill + new.size > hit.size:
+                hit, when = (np.concatenate([a[:fill], np.empty_like(a)]) for a in (hit, when))
+            hit[fill:fill + new.size] = new
+            when[fill:fill + new.size] = t[accept]
+            fill += new.size
             over = np.flatnonzero(events > DEFAULT_MAX_EVENTS)
             if over.size:
                 raise BudgetError(
@@ -316,17 +380,19 @@ def _thin_lockstep(lam0, rates, jumps, horizon, rngs) -> list:
                 )
         if done.any():
             keep = ~done
-            rows, t, last, bound, events, state, steps, uniforms = (
-                a[keep] for a in (rows, t, last, bound, events, state, steps, uniforms)
+            rows, t, last, bound, pos, events, state, steps, uniforms = (
+                a[keep] for a in (rows, t, last, bound, pos, events, state, steps, uniforms)
             )
-    hit, when = np.concatenate(hit), np.concatenate(when)
+    hit = hit[:fill]
     when = when[np.argsort(hit, kind="stable")]
     ends = np.cumsum(np.bincount(hit, minlength=len(rngs))).tolist()
     paths = [when[a:b] for a, b in zip([0] + ends, ends)]
     for i, r in enumerate(rows.tolist()):
         draws = _proposal_draws(rngs[r], steps[i, k:].tolist(), uniforms[i, k:].tolist())
-        start = (float(t[i]), float(last[i]), float(bound[i]), state[i], int(events[i]))
-        paths[r] = np.concatenate([paths[r], _thin(lam0, rates, jumps, horizon, draws, start)])
+        start = (float(t[i]), float(last[i]), float(bound[i]), float(pos[i]), state[i],
+                 int(events[i]))
+        paths[r] = np.concatenate(
+            [paths[r], _thin(lam0, rates, jumps, envelope, horizon, draws, start)])
     return paths
 
 
@@ -365,11 +431,12 @@ def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
     _check_budget_reachable(p.lambda0 * horizon)
     rates, weights = _exp_mixture(p.kernel(), horizon)
     jumps = p.alpha * weights
+    envelope = _envelope(rates, jumps, horizon)
 
     def blocks():
         for lo in range(0, len(replicas), _LOCKSTEP_BLOCK):
             rngs = [replica_stream(seed, engine, r) for r in replicas[lo:lo + _LOCKSTEP_BLOCK]]
-            yield from _thin_lockstep(p.lambda0, rates, jumps, horizon, rngs)
+            yield from _thin_lockstep(p.lambda0, rates, jumps, envelope, horizon, rngs)
 
     return p, blocks()
 
@@ -417,8 +484,12 @@ def simulate_thinning(
     ``[1e-8, horizon]``, and lost mass on ``[0, horizon]``, certified below
     1e-6.  The intensity is a vector of Q decaying components, to which each
     event adds ``alpha`` times the surrogate's weights, so a proposal costs
-    O(Q) whatever the history.  An event whose step does not advance the
-    time in floating point moves to the next float after the last epoch.
+    O(Q) whatever the history.  The dominating rate is the intensity just
+    before the last event, lowered to the intensity at each rejection,
+    plus a step envelope of the last event's kernel at two cells per
+    octave of lag: about 1.2 proposals per event at alpha = 0.5 and beta =
+    1/2 or 0.9.  An event whose step does not advance the time in floating
+    point moves to the next float after the last epoch.
     :func:`sample_paths` certifies the surrogate once for many paths.
     """
     return sample_paths(p, horizon, seed, [replica], "thinning")[0]

@@ -91,3 +91,27 @@ def test_negative_seed_raises_before_any_criterion(monkeypatch):
     for seed in (-1, -100):
         with pytest.raises(DomainError, match="seed"):
             v.run_validation(smoke=True, seed=seed)
+
+
+def test_c01_and_c05_name_the_rules_that_fail(monkeypatch):
+    """A record's bound carries one of several rules, so a FAIL can show
+    measured <= bound; ``details["failed"]`` names the rules that failed,
+    and is empty on a pass."""
+    assert v.c01_special_identities(_CFG)["details"]["failed"] == []
+    assert v.c05_asymptote(_CFG)["details"]["failed"] == []
+
+    # the values at z = 0 are held to 1e-12, below c01's recorded bound
+    prabhakar = v.prabhakar
+    monkeypatch.setattr(v, "prabhakar", lambda a, b, c, z: (
+        prabhakar(a, b, c, z) * (1.0 + 1e-11) if np.ndim(z) == 0 else prabhakar(a, b, c, z)))
+    rec = v.c01_special_identities(_CFG)
+    assert not rec["passed"] and rec["measured"] <= rec["bound"]
+    assert rec["details"]["failed"] == ["at_zero"]
+
+    # the initial value is a rule apart from the recorded tail gap
+    lambda_exact = v.lambda_exact
+    monkeypatch.setattr(v, "lambda_exact", lambda t, p: (
+        lambda_exact(t, p) + 1e-9 if np.ndim(t) == 0 and t == 0.0 else lambda_exact(t, p)))
+    rec = v.c05_asymptote(_CFG)
+    assert not rec["passed"] and rec["measured"] <= rec["bound"]
+    assert rec["details"]["failed"] == ["initial_value(beta=0.5)", "initial_value(beta=0.9)"]

@@ -400,3 +400,23 @@ class TestValidateCmd:
         res = runner.invoke(cli, ["validate", "--smoke"])
         assert res.exit_code == 3
         assert "FAIL" in res.output
+
+    def test_failed_rules_are_printed(self, runner, monkeypatch):
+        import fhawkes.cli as climod
+
+        def fake(smoke, seed):
+            return {
+                "mode": "smoke",
+                "criteria": [
+                    {"name": "x", "passed": False, "measured": 1e-13,
+                     "bound": 1e-10, "seconds": 0.0,
+                     "details": {"failed": ["at_zero", "exponential"]}}
+                ],
+                "all_passed": False,
+            }
+
+        monkeypatch.setattr(climod, "run_validation", fake)
+        res = runner.invoke(cli, ["validate", "--smoke"])
+        assert res.exit_code == 3
+        assert "[FAIL] x:" in res.output
+        assert res.output.rstrip().endswith("; failed: at_zero, exponential")

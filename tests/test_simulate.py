@@ -319,24 +319,24 @@ class TestSamplePaths:
         assert all(seq.epochs.base is None for seq in paths)
 
 
-# count_matrix(P_STRONG, (1, 5, 10), 33, 11, engine) as the one-replica-at-
-# a-time thinning loop drew it before the lockstep engine
+# count_matrix(P_STRONG, (1, 5, 10), 33, 11, engine) as the scalar loop
+# draws each replica alone, thinning against the last event's envelope
 GOLDEN_COUNTS = {
     "thinning": [
-        [1, 7, 22], [0, 4, 16], [0, 4, 15], [0, 8, 15], [1, 18, 35], [0, 20, 37],
-        [0, 10, 16], [2, 5, 6], [0, 6, 13], [0, 7, 14], [3, 13, 25], [1, 3, 3],
-        [1, 4, 12], [2, 9, 26], [0, 4, 16], [1, 5, 11], [0, 6, 16], [0, 4, 11],
-        [1, 7, 16], [1, 10, 15], [6, 8, 16], [0, 3, 10], [2, 13, 24], [1, 5, 13],
-        [1, 11, 23], [1, 10, 16], [1, 7, 18], [1, 12, 21], [0, 7, 15], [0, 7, 24],
-        [3, 8, 16], [2, 6, 18], [0, 4, 12],
+        [0, 3, 12], [0, 4, 11], [2, 10, 18], [0, 10, 23], [1, 6, 22], [0, 6, 14],
+        [3, 11, 23], [2, 8, 13], [0, 4, 12], [0, 4, 14], [2, 8, 19], [2, 6, 8],
+        [1, 5, 11], [1, 7, 13], [2, 11, 28], [0, 3, 14], [0, 3, 12], [0, 7, 18],
+        [0, 1, 8], [1, 9, 18], [8, 11, 26], [0, 1, 5], [1, 13, 22], [1, 9, 16],
+        [3, 6, 10], [1, 11, 22], [1, 3, 13], [1, 7, 22], [2, 15, 20], [0, 10, 17],
+        [3, 11, 31], [2, 3, 7], [0, 10, 17],
     ],
     "exp_hawkes": [
-        [0, 1, 31], [2, 6, 11], [0, 6, 14], [0, 8, 13], [1, 3, 22], [0, 6, 9],
-        [1, 9, 12], [0, 8, 17], [0, 6, 12], [3, 8, 25], [1, 9, 16], [0, 16, 31],
-        [1, 11, 20], [1, 7, 13], [2, 7, 17], [0, 7, 17], [0, 5, 22], [0, 8, 16],
-        [0, 8, 19], [1, 5, 12], [1, 7, 15], [1, 8, 15], [2, 13, 21], [0, 11, 27],
-        [0, 2, 14], [1, 7, 17], [1, 18, 38], [1, 9, 24], [4, 24, 38], [1, 6, 12],
-        [0, 4, 13], [0, 4, 5], [2, 3, 10],
+        [0, 13, 30], [0, 3, 16], [2, 6, 14], [0, 7, 21], [0, 7, 17], [0, 5, 19],
+        [5, 5, 13], [0, 15, 27], [0, 5, 9], [1, 16, 31], [1, 8, 14], [0, 16, 27],
+        [1, 7, 15], [2, 7, 23], [1, 6, 10], [0, 8, 12], [0, 5, 19], [4, 28, 39],
+        [1, 13, 20], [1, 3, 11], [1, 8, 14], [2, 5, 13], [1, 3, 9], [0, 14, 29],
+        [0, 2, 21], [1, 9, 14], [5, 18, 27], [1, 9, 15], [5, 17, 20], [2, 9, 17],
+        [0, 5, 20], [0, 1, 3], [1, 2, 6],
     ],
 }
 
@@ -351,16 +351,16 @@ class TestLockstep:
             assert got.tolist() == golden[:replicas]
 
     def test_steps_below_one_ulp(self):
-        # every 16th step is 1e-300: accepted, it would repeat the last
-        # epoch unless moved to the next float; lockstep and scalar loop
-        # must move it alike
+        # every 4th proposal has both of its steps 1e-300: accepted, it
+        # would repeat the last epoch unless moved to the next float;
+        # lockstep and scalar loop must move it alike
         class TinySteps:
             def __init__(self, seed):
                 self.rng = np.random.default_rng(seed)
 
             def standard_exponential(self, n):
                 steps = self.rng.standard_exponential(n)
-                steps[::16] = 1e-300
+                steps[::4] = 1e-300
                 return steps
 
             def random(self, n):
@@ -368,12 +368,13 @@ class TestLockstep:
 
         rates, weights = _exp_mixture(P_STRONG.kernel(), 5.0)
         jumps = P_STRONG.alpha * weights
+        envelope = simulate._envelope(rates, jumps, 5.0)
         wide = 2 * simulate._LOCKSTEP_MIN + 1
         draws = [simulate._proposal_draws(TinySteps(r)) for r in range(wide)]
-        paths = [simulate._thin(1.0, rates, jumps, 5.0, d) for d in draws]
+        paths = [simulate._thin(1.0, rates, jumps, envelope, 5.0, d) for d in draws]
         assert all(np.all(np.diff(path) > 0.0) for path in paths)
         assert np.any(np.diff(paths[0]) <= np.spacing(paths[0][1:]))
-        got = simulate._thin_lockstep(1.0, rates, jumps, 5.0,
+        got = simulate._thin_lockstep(1.0, rates, jumps, envelope, 5.0,
                                       [TinySteps(r) for r in range(wide)])
         assert len(got) == wide
         for lockstep, scalar in zip(got, paths):
@@ -392,6 +393,54 @@ class TestLockstep:
         monkeypatch.setattr(simulate, "_thin", no_scalar)
         with pytest.raises(BudgetError, match="exceeded 25 events by t="):
             count_matrix(P_STRONG, [20.0], 2 * simulate._LOCKSTEP_MIN + 1, 3, engine)
+
+
+class TestEnvelope:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9, 1.0])
+    def test_dominates_the_last_kernel(self, beta):
+        # gamma * H = 1000: the beta = 1 kernel underflows past lag ~745
+        horizon = 1000.0
+        rates, weights = _exp_mixture(MLKernelParams(beta, 1.0), horizon)
+        jumps = 0.5 * weights
+        lags, levels, cum = simulate._envelope(rates, jumps, horizon)
+        assert lags[0] == 0.0 and lags[-1] > horizon
+        ends = np.append(lags[1:], 2.0 * lags[-1])
+        for j, (lo, hi) in enumerate(zip(lags, ends)):
+            x = np.append(lo + (hi - lo) * np.arange(9) / 9.0, hi)
+            kernel = np.exp(-np.outer(x, rates)) @ jumps
+            assert np.all(levels[j] >= kernel), (beta, j)
+        np.testing.assert_array_equal(cum[1:], np.cumsum(levels[:-1] * np.diff(lags)))
+        # a cell whose level underflows adds nothing to the cumulative
+        zero = levels == 0.0
+        assert zero.any() == (beta == 1.0)
+        assert np.all(np.diff(cum)[zero[:-1]] == 0.0)
+
+    def test_mean_count(self):
+        # seed, replicas and bound fixed before the first run
+        p = ModelParams(1.0, 0.5, 0.3, 1.7)
+        times = np.array([0.1, 0.5, 1.0, 2.0])
+        counts = count_matrix(p, times, 4000, 19)
+        se = counts.std(axis=0) / math.sqrt(counts.shape[0])
+        assert np.all(np.abs(counts.mean(axis=0) - expected_n(times, p)) < 4.0 * se)
+
+    @pytest.mark.parametrize("beta,most", [(0.5, 1.5), (0.9, 1.35)])
+    @pytest.mark.parametrize("horizon", [100.0, 1000.0])
+    def test_proposals_per_event(self, beta, most, horizon, monkeypatch):
+        # draws consumed over 10 seeded paths, the one past the horizon
+        # included; the constant bound after each event took 3.6 at
+        # beta = 1/2 and 1.87 at beta = 0.9
+        consumed = []
+        proposal_draws = simulate._proposal_draws
+
+        def counted(*args):
+            for draw in proposal_draws(*args):
+                consumed.append(draw)
+                yield draw
+
+        monkeypatch.setattr(simulate, "_proposal_draws", counted)
+        paths = sample_paths(ModelParams(1.0, 0.5, beta, 1.0), horizon, 1, range(10))
+        assert len(consumed) <= most * sum(len(seq) for seq in paths)
 
 
 class TestBudgetUpFront:
