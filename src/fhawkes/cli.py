@@ -4,8 +4,8 @@ Subcommands: ``lambda``, ``expected-n``, ``simulate``, ``dist``,
 ``validate``.  Model flags can also come from a JSON config file
 (``--config``); explicit flags override file values.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 validation criteria failed.
+Exit codes: 0 success, 1 usage error, 2 numerical failure (an allocation
+failure included), 3 validation criteria failed.
 """
 
 from __future__ import annotations
@@ -253,6 +253,10 @@ def main():
         sys.exit(exc.exit_code)
     except FHawkesError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(2)
+    except MemoryError as exc:
+        reason = str(exc).partition("\n")[0] or "allocation failed"
+        click.echo(f"numerical failure: out of memory: {reason}", err=True)
         sys.exit(2)
 
 

@@ -37,6 +37,7 @@ immigrant count makes that certain raises before drawing.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -89,19 +90,92 @@ _EXP_ZERO = -746.0
 # levels sit a relative 1e-12 above the kernel, more than the rounding of
 # a sum of the kernel's Q positive terms in any order
 _ENVELOPE_LOG2_MIN, _ENVELOPE_MARGIN = -40, 1.0 + 1e-12
+# NumPy's SeedSequence hash: O'Neill's seed_seq hashmix and mix on a pool of
+# four 32-bit words, with these constants
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+
+
+def _index(name: str, value) -> int:
+    """``value`` as a nonnegative Python int: an integer, numpy integers
+    included, but not a bool; DomainError otherwise."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if n < 0:
+        raise DomainError(f"{name} must be nonnegative, got {n}")
+    return n
+
+
+def _stream_keys(seed: int, engine: str, replicas) -> np.ndarray:
+    """(n, 2) ``uint64`` Philox keys of the streams ``(seed, engine, r)``
+    for the nonnegative integers ``r`` of ``replicas``: row ``i`` is
+    ``np.random.SeedSequence((seed, ENGINES[engine], replicas[i]))
+    .generate_state(2, np.uint64)``.  While ``seed`` and every replica
+    fit one 32-bit word, the hash runs in ``uint32`` arithmetic, vectorised
+    over replicas; otherwise each key comes from ``SeedSequence``."""
+    code = ENGINES[engine]
+    if seed > _MASK32 or max(replicas, default=0) > _MASK32:
+        return np.array(
+            [np.random.SeedSequence((seed, code, r)).generate_state(2, np.uint64)
+             for r in replicas], dtype=np.uint64).reshape(-1, 2)
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _HASH_MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return value ^ (value >> np.uint32(16))
+
+    words = np.zeros((4, len(replicas)), dtype=np.uint32)
+    words[0], words[1], words[2] = seed, code, replicas
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    const = _HASH_INIT_B
+    state = np.empty((len(replicas), 4), dtype=np.uint32)
+    for i, value in enumerate(pool):
+        value = value ^ np.uint32(const)
+        const = const * _HASH_MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose state is a Philox key computed ahead."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _stream(key) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 def replica_stream(seed: int, engine: str, replica: int = 0) -> np.random.Generator:
     """Counter-based stream keyed by (seed, engine, replica); seed and
-    replica must be nonnegative integers."""
+    replica must be nonnegative integers (numpy integers included, bools
+    not)."""
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
-    if not (int(seed) >= 0 and int(replica) >= 0):
-        raise DomainError(
-            f"seed and replica must be nonnegative, got {seed} and {replica}"
-        )
-    key = np.random.SeedSequence((int(seed), ENGINES[engine], int(replica)))
-    return np.random.Generator(np.random.Philox(key))
+    seed, replica = _index("seed", seed), _index("replica", replica)
+    return _stream(_stream_keys(seed, engine, [replica])[0])
 
 
 def _check_horizon(horizon: float) -> None:
@@ -414,16 +488,21 @@ def _check_budget_reachable(mean: float) -> None:
 
 
 def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
-    """``(p, epochs)``: the model that draws the ``engine``'s paths (``beta``
-    1 for ``exp_hawkes``) and an iterator over each replica's epochs, drawn
-    a lockstep block at a time.  Every check runs once, before any stream is
-    keyed: the horizon, then the cluster's Poisson mean (``ModelParams``
-    holds ``alpha < 1``), or the thinning event budget and kernel
-    certification."""
+    """``(p, replicas, epochs)``: the model that draws the ``engine``'s paths
+    (``beta`` 1 for ``exp_hawkes``), the replica indices as a list of ints
+    and an iterator over each replica's epochs, drawn a lockstep block at a
+    time.  Every check runs once, before any stream is
+    keyed: the seed and replica indices, the horizon, then the cluster's
+    Poisson mean (``ModelParams`` holds ``alpha < 1``), or the thinning
+    event budget and kernel certification.  The streams' keys are hashed
+    together, and each Generator is made when its path is drawn."""
+    seed = _index("seed", seed)
+    replicas = [_index("replica", r) for r in replicas]
     _check_horizon(horizon)
     if engine == "cluster":
         _check_poisson_mean(p.lambda0 * horizon)
-        return p, (_cluster(p, horizon, replica_stream(seed, engine, r)) for r in replicas)
+        keys = _stream_keys(seed, engine, replicas)
+        return p, replicas, (_cluster(p, horizon, _stream(key)) for key in keys)
     if engine == "exp_hawkes":
         p = replace(p, beta=1.0)
     elif engine != "thinning":
@@ -432,26 +511,28 @@ def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
     rates, weights = _exp_mixture(p.kernel(), horizon)
     jumps = p.alpha * weights
     envelope = _envelope(rates, jumps, horizon)
+    keys = _stream_keys(seed, engine, replicas)
 
     def blocks():
-        for lo in range(0, len(replicas), _LOCKSTEP_BLOCK):
-            rngs = [replica_stream(seed, engine, r) for r in replicas[lo:lo + _LOCKSTEP_BLOCK]]
+        for lo in range(0, len(keys), _LOCKSTEP_BLOCK):
+            rngs = [_stream(key) for key in keys[lo:lo + _LOCKSTEP_BLOCK]]
             yield from _thin_lockstep(p.lambda0, rates, jumps, envelope, horizon, rngs)
 
-    return p, blocks()
+    return p, replicas, blocks()
 
 
 def sample_paths(
     p: ModelParams, horizon: float, seed: int, replicas, engine: str = "thinning"
 ) -> list[EventSequence]:
-    """Paths on ``(0, horizon]``, one per index of the sequence ``replicas``,
+    """Paths on ``(0, horizon]``, one per index of the iterable ``replicas``,
     each from its own ``(seed, engine, replica)`` stream: ``"thinning"`` and
     ``"cluster"`` as :func:`simulate_thinning` and :func:`simulate_cluster`
     draw them, ``"exp_hawkes"`` the exponential-kernel process with ``p``'s
     ``lambda0``, ``alpha`` and ``gamma``.  The thinning kernel is built and
     certified once for all of them.  Raises as the one-path draws do, and
-    DomainError for an unknown engine or a negative replica index."""
-    p, paths = _paths(engine, p, horizon, seed, replicas)
+    DomainError for an unknown engine, or a seed or replica index that is
+    not a nonnegative integer."""
+    p, replicas, paths = _paths(engine, p, horizon, seed, replicas)
     return [EventSequence(e, horizon, seed, engine, r, p) for r, e in zip(replicas, paths)]
 
 
@@ -463,13 +544,13 @@ def count_matrix(
     max(times)]``, so ``count_matrix(p, times, R, seed)[:r]`` equals
     ``count_matrix(p, times, r, seed)``.  Raises DomainError if ``times`` is
     empty, has a negative time or has largest entry 0 (no horizon), or if
-    ``replicas`` is negative, and otherwise as :func:`sample_paths` does."""
+    ``replicas`` is not a nonnegative integer, and otherwise as
+    :func:`sample_paths` does."""
+    replicas = _index("replicas", replicas)
     times = np.asarray(times, dtype=float)
-    if not (times.size > 0 and times.min() >= 0.0 and replicas >= 0):
-        raise DomainError(
-            "count_matrix needs at least one time, all times >= 0 and replicas >= 0"
-        )
-    _, paths = _paths(engine, p, float(times.max()), seed, range(replicas))
+    if not (times.size > 0 and times.min() >= 0.0):
+        raise DomainError("count_matrix needs at least one time and all times >= 0")
+    _, _, paths = _paths(engine, p, float(times.max()), seed, range(replicas))
     out = np.empty((replicas, times.size), dtype=np.int64)
     for r, epochs in enumerate(paths):
         out[r] = epochs.searchsorted(times, side="right")

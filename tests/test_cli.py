@@ -98,6 +98,25 @@ class TestLambdaCmd:
         assert found, res.output
         assert 0.0 <= float(found.group(1)) < 1e-6
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 20.0 GiB\nfor an array", "Unable to allocate 20.0 GiB"),
+        ("", "allocation failed"),
+    ])
+    def test_allocation_failure_is_numerical_failure(
+        self, monkeypatch, capsys, tmp_path, message, line
+    ):
+        # a stand-in command: the test must not allocate for real
+        def exhausted(t, p):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("fhawkes.cli.lambda_exact", exhausted)
+        code, err = _exit_code(
+            monkeypatch, capsys, "lambda", *MODEL, "--out", str(tmp_path / "lam.csv"),
+        )
+        assert code == 2
+        assert err == f"numerical failure: out of memory: {line}\n"
+        assert not (tmp_path / "lam.csv").exists()
+
 
 class TestExpectedNCmd:
     def test_exact(self, runner, tmp_path):

@@ -268,6 +268,56 @@ class TestStreams:
         with pytest.raises(DomainError):
             count_matrix(P_WEAK, [1.0], 1, 5, "poisson")
 
+    def test_stream_keys_match_seed_sequence(self):
+        # the vectorised hash against NumPy's own, on random triples; values
+        # of 2**32 and more take the SeedSequence route
+        rng = np.random.default_rng(2024)
+        for engine, code in simulate.ENGINES.items():
+            for top in (2**32, 2**64):
+                seed = int(rng.integers(0, top, dtype=np.uint64))
+                reps = rng.integers(0, top, 40, dtype=np.uint64).tolist()
+                reps += [0, 2**32 - 1]
+                ref = [np.random.SeedSequence((seed, code, r)).generate_state(2, np.uint64)
+                       for r in reps]
+                keys = simulate._stream_keys(seed, engine, reps)
+                assert keys.dtype == np.uint64
+                np.testing.assert_array_equal(keys, ref)
+        assert simulate._stream_keys(3, "cluster", []).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "seed, replica", [(5.9, 0), (5, 1.5), (True, 0), (5, False), (-1, 0), (5, -2), ("5", 0)]
+    )
+    def test_seed_and_replica_must_be_nonnegative_integers(self, seed, replica):
+        with pytest.raises(DomainError):
+            replica_stream(seed, "thinning", replica)
+        for engine in ("thinning", "cluster"):
+            with pytest.raises(DomainError):
+                sample_paths(P_WEAK, 1.0, seed, [replica], engine)
+
+    @pytest.mark.parametrize("replicas", [2.5, 3.0, True, -1, None])
+    def test_replica_count_must_be_nonnegative_integer(self, replicas):
+        with pytest.raises(DomainError, match="replicas"):
+            count_matrix(P_WEAK, [1.0], replicas, 0)
+
+    def test_numpy_integers_are_accepted(self):
+        np.testing.assert_array_equal(
+            replica_stream(np.int64(5), "thinning", np.uint8(2)).random(4),
+            replica_stream(5, "thinning", 2).random(4),
+        )
+        np.testing.assert_array_equal(
+            count_matrix(P_WEAK, [1.0, 5.0], np.int32(20), np.uint64(7)),
+            count_matrix(P_WEAK, [1.0, 5.0], 20, 7),
+        )
+        # any iterable of indices, each path keyed by its index as an int
+        for engine in ("thinning", "cluster"):
+            seqs = sample_paths(P_WEAK, 5.0, 7, iter([np.int64(3), 0]), engine)
+            assert [s.replica for s in seqs] == [3, 0]
+            assert all(type(s.replica) is int for s in seqs)
+            for s, r in zip(seqs, (3, 0)):
+                np.testing.assert_array_equal(
+                    s.epochs, sample_paths(P_WEAK, 5.0, 7, [r], engine)[0].epochs
+                )
+
     def test_order_insensitive(self):
         late = replica_stream(9, "thinning", 500).random(3)
         again = replica_stream(9, "thinning", 500).random(3)

@@ -9,6 +9,7 @@ branch-cut route is checked live against its series.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,42 @@ class TestBatchedSeries:
         prabhakar(0.9, 2.0, 1.0, np.array([-4.5, -50.0]))
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0][3], [-4.5, -50.0])
+
+    def test_blocked_pass_is_elementwise(self):
+        # more than one block of large arguments in each regime (spectral
+        # E_beta and E_{beta,beta}, contour), band arguments among them
+        n = special._LARGE_BLOCK
+        z = np.concatenate([
+            -np.geomspace(41.0, 1e6, 2 * n + 5), np.linspace(-6.0, -4.0, 9),
+            [-0.3, -2.0, 0.0, 1.0],
+        ])
+        z = np.random.default_rng(7).permutation(z)
+        for shape in ((0.5, 1.0, 1.0), (0.5, 0.5, 1.0), (0.9, 2.0, 1.0)):
+            alone = [prabhakar(*shape, float(zi)) for zi in z]
+            np.testing.assert_array_equal(_bits(prabhakar(*shape, z)), _bits(alone))
+
+    def test_conditioning_error_spans_every_block(self):
+        # the worst conditioning and the z-range over all contour arguments
+        z = np.concatenate([-np.geomspace(41.0, 1e4, 150), [-6.1145, -4.5, -5.5]])
+        with pytest.raises(AccuracyError) as exc:
+            prabhakar(0.7, 1.3, 2.0, z)
+        assert str(exc.value) == (
+            "contour regime conditioning 2.81e-08 exceeds budget for "
+            "E_{0.7,1.3}^2.0 at z in [-10000.0, -4.5]"
+        )
+
+    @pytest.mark.parametrize("shape", [(0.5, 1.0, 1.0), (0.5, 2.0, 1.0)])
+    def test_large_argument_memory_is_bounded(self, shape):
+        # the pass holds one block of temporaries at a time; over all 20000
+        # arguments at once it traces 414 MB (E_{1/2}) and 24 MB (E_{1/2,2})
+        z = -np.geomspace(50.0, 1e6, 20000)
+        tracemalloc.start()
+        try:
+            prabhakar(*shape, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_intensity_on_long_path_matches_erfcx_form(self):
         p = ModelParams(1.0, 0.5, 0.5, 1.0)
