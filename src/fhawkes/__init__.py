@@ -12,7 +12,7 @@ The library provides:
 * ``harness`` — Monte Carlo counting: means of the count matrix with
   standard errors, and count distributions with their references;
 * ``io`` — the CSV tables of curves, distributions and events, and the
-  JSON validation report;
+  JSON validation report, with parsers for the events and the report;
 * ``validation`` — the 12-criterion acceptance suite;
 * ``cli`` — the ``fhawkes`` command behind all of the above.
 """
@@ -35,7 +35,7 @@ from .errors import (
     FHawkesError,
     QuadratureError,
 )
-from .laplace import IltResult, LaplaceImage, forward_lt, ilt, ilt_grid
+from .laplace import LaplaceImage, forward_lt, ilt_grid
 from .simulate import (
     EventSequence,
     intensity,
@@ -52,5 +52,37 @@ from .special import (
     ml_spectral,
     prabhakar,
 )
+
+__all__ = [
+    "AccuracyError",
+    "BudgetError",
+    "ContourError",
+    "ConvergenceWarning",
+    "DomainError",
+    "EventSequence",
+    "FHawkesError",
+    "LaplaceImage",
+    "MLKernelParams",
+    "ModelParams",
+    "QuadratureError",
+    "asymptote",
+    "erfcx",
+    "expected_n",
+    "expected_n_half",
+    "forward_lt",
+    "ilt_grid",
+    "intensity",
+    "lambda_exact",
+    "lambda_exact_half",
+    "lambda_image",
+    "ml_density",
+    "ml_one",
+    "ml_sample",
+    "ml_spectral",
+    "prabhakar",
+    "sample_paths",
+    "simulate_cluster",
+    "simulate_thinning",
+]
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import AccuracyError, DomainError
 from .laplace import LaplaceImage
 from .special import MLKernelParams, _float_fields, erfcx, ml_one, prabhakar
 
@@ -68,6 +68,17 @@ def _times(t, quantity):
     if not (t_arr >= 0.0).all():
         raise DomainError(f"{quantity} requires t >= 0")
     return t_arr
+
+
+def _finite(res, t_arr, quantity):
+    """``res``, a float for a scalar time; raises AccuracyError at the first
+    time whose value is past the double range."""
+    bad = ~np.isfinite(res)
+    if bad.any():
+        raise AccuracyError(
+            f"{quantity} at t={float(t_arr[bad][0])!r} is past the double range"
+        )
+    return float(res) if t_arr.ndim == 0 else res
 
 
 def _principal_power(s, beta):
@@ -148,9 +159,10 @@ def lambda_exact_half(t, p: ModelParams):
     if p.beta != 0.5:
         raise DomainError("closed form requires beta = 1/2 exactly")
     t_arr = _times(t, "expected intensity")
-    x = (1.0 - p.alpha) * p.gamma * np.sqrt(t_arr)
-    res = asymptote(p) * (1.0 - p.alpha * erfcx(x))
-    return float(res) if t_arr.ndim == 0 else res
+    with np.errstate(over="ignore"):
+        x = (1.0 - p.alpha) * p.gamma * np.sqrt(t_arr)
+        res = asymptote(p) * (1.0 - p.alpha * erfcx(x))
+    return _finite(res, t_arr, "expected intensity")
 
 
 def lambda_exact(t, p: ModelParams):
@@ -158,12 +170,17 @@ def lambda_exact(t, p: ModelParams):
     ``L - (alpha/(1-alpha))*lambda0*E_beta((alpha-1)*gamma*t**beta)``.
 
     Equals ``lambda0`` at ``t = 0`` and increases strictly toward the
-    asymptote for ``alpha > 0``.
+    asymptote for ``alpha > 0``.  Raises :class:`DomainError` when
+    ``|z| > Z_MAX`` and :class:`AccuracyError` when a value is past the
+    double range.
     """
     t_arr = _times(t, "expected intensity")
-    z = (p.alpha - 1.0) * p.gamma * t_arr ** p.beta
-    res = asymptote(p) * (1.0 - p.alpha * ml_one(p.beta, z))
-    return float(res) if t_arr.ndim == 0 else res
+    # an overflowing z meets prabhakar's |z| guard, an overflowing value
+    # the finiteness check
+    with np.errstate(over="ignore"):
+        z = (p.alpha - 1.0) * p.gamma * t_arr ** p.beta
+        res = asymptote(p) * (1.0 - p.alpha * ml_one(p.beta, z))
+    return _finite(res, t_arr, "expected intensity")
 
 
 def expected_n_half(t, p: ModelParams):
@@ -176,13 +193,14 @@ def expected_n_half(t, p: ModelParams):
         raise DomainError("closed form requires beta = 1/2 exactly")
     t_arr = _times(t, "expected count")
     one_m = 1.0 - p.alpha
-    x = one_m * p.gamma * np.sqrt(t_arr)
-    bracket = _SQRT_PI * (erfcx(x) - 1.0) + 2.0 * x
-    res = (
-        p.lambda0 * t_arr / one_m
-        - p.alpha * p.lambda0 / (one_m ** 3 * p.gamma ** 2 * _SQRT_PI) * bracket
-    )
-    return float(res) if t_arr.ndim == 0 else res
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = one_m * p.gamma * np.sqrt(t_arr)
+        bracket = _SQRT_PI * (erfcx(x) - 1.0) + 2.0 * x
+        res = (
+            p.lambda0 * t_arr / one_m
+            - p.alpha * p.lambda0 / (one_m ** 3 * p.gamma ** 2 * _SQRT_PI) * bracket
+        )
+    return _finite(res, t_arr, "expected count")
 
 
 def expected_n(t, p: ModelParams):
@@ -190,10 +208,12 @@ def expected_n(t, p: ModelParams):
 
     ``lambda0*t/(1-alpha) - (alpha*lambda0/(1-alpha)) * t *
     E_{beta,2}((alpha-1)*gamma*t**beta)``; nonnegative and nondecreasing.
+    Raises as :func:`lambda_exact` does.
     """
     t_arr = _times(t, "expected count")
-    z = (p.alpha - 1.0) * p.gamma * t_arr ** p.beta
-    e = prabhakar(p.beta, 2.0, 1.0, z)
-    res = (p.lambda0 / (1.0 - p.alpha)) * t_arr * (1.0 - p.alpha * e)
-    return float(res) if t_arr.ndim == 0 else res
+    with np.errstate(over="ignore"):
+        z = (p.alpha - 1.0) * p.gamma * t_arr ** p.beta
+        e = prabhakar(p.beta, 2.0, 1.0, z)
+        res = (p.lambda0 / (1.0 - p.alpha)) * t_arr * (1.0 - p.alpha * e)
+    return _finite(res, t_arr, "expected count")
 

@@ -1,12 +1,15 @@
-"""Emission and parsing of the artifact's file formats.
+"""Emission of the artifact's file formats, and parsing of events and
+reports.
 
 Curves CSV:         t, mc_mean, mc_se, exact, ilt      (blank = absent)
 Distributions CSV:  t, k, freq, p_hat, p_ref
 Events CSV:         replica, k, T_k
 Reports:            JSON
 
-Every emit has a parse that reconstructs the same values exactly
-(floats are written with round-trippable repr).
+Floats are written with round-trippable repr, so every table reads back to
+the same values.  Events and reports parse back through this module;
+curves and distributions have no parser here, and any CSV reader that
+takes a blank cell for NaN reads them back exactly.
 """
 
 from __future__ import annotations
@@ -19,8 +22,6 @@ import pathlib
 import numpy as np
 
 __all__ = [
-    "read_curves_csv",
-    "read_dist_csv",
     "read_events_csv",
     "read_report_json",
     "write_curves_csv",
@@ -43,10 +44,6 @@ def _fmt(x) -> str:
     return repr(x)
 
 
-def _parse(cell: str) -> float:
-    return math.nan if cell == "" else float(cell)
-
-
 def write_curves_csv(path, table: dict) -> None:
     """``table`` maps curve column names to equal-length arrays; missing
     columns are written blank."""
@@ -61,17 +58,6 @@ def write_curves_csv(path, table: dict) -> None:
             )
 
 
-def read_curves_csv(path) -> dict:
-    with pathlib.Path(path).open(newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != CURVE_COLUMNS:
-            raise ValueError(f"unexpected curve header {header!r}")
-        rows = [[_parse(c) for c in row] for row in r]
-    arr = np.asarray(rows, dtype=float).reshape(-1, len(CURVE_COLUMNS))
-    return {c: arr[:, i] for i, c in enumerate(CURVE_COLUMNS)}
-
-
 def write_dist_csv(path, records) -> None:
     """``records`` is an iterable of (t, k, freq, p_hat, p_ref) tuples."""
     with pathlib.Path(path).open("w", newline="") as fh:
@@ -79,20 +65,6 @@ def write_dist_csv(path, records) -> None:
         w.writerow(DIST_COLUMNS)
         for t, k, freq, p_hat, p_ref in records:
             w.writerow([repr(float(t)), int(k), int(freq), _fmt(p_hat), _fmt(p_ref)])
-
-
-def read_dist_csv(path):
-    out = []
-    with pathlib.Path(path).open(newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != DIST_COLUMNS:
-            raise ValueError(f"unexpected distribution header {header!r}")
-        for row in r:
-            out.append(
-                (float(row[0]), int(row[1]), int(row[2]), _parse(row[3]), _parse(row[4]))
-            )
-    return out
 
 
 def write_events_csv(path, sequences) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import comb
@@ -34,10 +34,8 @@ from scipy.special import comb
 from .errors import ContourError, ConvergenceWarning, DomainError, QuadratureError
 
 __all__ = [
-    "IltResult",
     "LaplaceImage",
     "forward_lt",
-    "ilt",
     "ilt_grid",
 ]
 
@@ -72,17 +70,6 @@ class LaplaceImage:
 
     def __call__(self, s):
         return self.fn(s)
-
-
-class IltResult(NamedTuple):
-    """Inversion value with a node-doubling error estimate: floats, or
-    arrays of shape ``(m,)`` for a family of ``m`` images."""
-
-    value: float
-    error_estimate: float
-
-    def __float__(self):
-        return self.value
 
 
 def _invert(image, t):
@@ -132,47 +119,18 @@ def _invert(image, t):
     return np.reshape(values, lead), np.reshape(errors, lead)
 
 
-def _positive_times(ts):
-    """``ts`` as a float array; raises DomainError unless every time is
-    positive and finite (NaN included)."""
-    ts = np.asarray(ts, dtype=float)
-    if not ((ts > 0.0) & (ts < math.inf)).all():
-        raise DomainError("inversion requires a finite t > 0")
-    return ts
-
-
-def ilt(image: LaplaceImage, t: float) -> IltResult:
-    """Invert a Laplace image at a single positive time.
-
-    Returns an :class:`IltResult` of two floats, or of two arrays of shape
-    ``(m,)`` for a family of ``m`` images (see :class:`LaplaceImage`); the
-    error estimate comes from halving the 64-term node count, and a
-    :class:`ConvergenceWarning` is emitted when doubling moves a value by
-    more than 1e-5 (relative).
-
-    Raises
-    ------
-    DomainError
-        If ``t`` is not positive and finite (NaN included).
-    ContourError
-        If the image evaluates non-finite on a contour node, or the
-        inversion overflows (t below about 1e-304).
-    """
-    value, est = _invert(image, float(_positive_times(t)))
-    if value.ndim == 0:
-        return IltResult(float(value), float(est))
-    return IltResult(value, est)
-
-
 def ilt_grid(image: LaplaceImage, ts):
-    """Invert at every time of the array ``ts``; returns ``(values,
-    error_estimates)``, of shape ``ts.shape`` for one image and ``(m,) +
-    ts.shape`` for a family of ``m`` images.
+    """Invert at every time of ``ts``, a scalar or an array; returns
+    ``(values, error_estimates)``, of shape ``ts.shape`` for one image and
+    ``(m,) + ts.shape`` for a family of ``m`` images.
 
     Each time builds one contour, on which the image is called once: a
     family shares the nodes, and each of its rows gets the bits that
-    inverting that image alone gives.  An empty ``ts`` calls the image
-    once on no nodes, which tells the family size.
+    inverting that image alone gives.  The error estimate comes from
+    halving the 64-term node count, and a :class:`ConvergenceWarning` is
+    emitted when doubling moves a value by more than 1e-5 (relative).  An
+    empty ``ts`` calls the image once on no nodes, which tells the family
+    size.
 
     Raises
     ------
@@ -184,17 +142,22 @@ def ilt_grid(image: LaplaceImage, ts):
         on a contour node, or the inversion overflows (t below about
         1e-304).
     """
-    ts = _positive_times(ts)
+    ts = np.asarray(ts, dtype=float)
+    if not ((ts > 0.0) & (ts < math.inf)).all():
+        raise DomainError("inversion requires a finite t > 0")
     if ts.size == 0:
         lead = np.shape(image(np.empty(0, dtype=complex)))[:-1]
         return np.empty(lead + ts.shape), np.empty(lead + ts.shape)
-    pairs = []
-    for t in ts.ravel().tolist():
-        pairs.append(_invert(image, t))
+    pairs = [_invert(image, t) for t in ts.ravel().tolist()]
     shape = pairs[0][0].shape + ts.shape
     values = np.stack([v for v, _ in pairs], axis=-1).reshape(shape)
     errors = np.stack([e for _, e in pairs], axis=-1).reshape(shape)
     return values, errors
+
+
+# not public: the per-layer benchmark (perfbench/layers.py) times one-time
+# inversions under this name
+ilt = ilt_grid
 
 
 # QUADPACK's G10/K21 pair on [-1, 1]: the positive Kronrod nodes, their

@@ -52,7 +52,6 @@ __all__ = [
     "EventSequence",
     "count_matrix",
     "intensity",
-    "replica_stream",
     "sample_paths",
     "simulate_cluster",
     "simulate_thinning",
@@ -166,16 +165,6 @@ class _Key(np.random.bit_generator.ISeedSequence):
 
 def _stream(key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(key)))
-
-
-def replica_stream(seed: int, engine: str, replica: int = 0) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, engine, replica); seed and
-    replica must be nonnegative integers (numpy integers included, bools
-    not)."""
-    if engine not in ENGINES:
-        raise DomainError(f"unknown engine {engine!r}")
-    seed, replica = _index("seed", seed), _index("replica", replica)
-    return _stream(_stream_keys(seed, engine, [replica])[0])
 
 
 def _check_horizon(horizon: float) -> None:

@@ -342,14 +342,21 @@ def _contour_sum(a, b, c, z):
 
 
 def _closed_form_a1(b, c, z):
-    """E_{1,b}^c(z) via the confluent hypergeometric function."""
-    z = np.asarray(z, dtype=float)
-    if b == 1.0 and c == 1.0:
-        return np.exp(z)
-    if b == 2.0 and c == 1.0:
-        safe = np.where(z == 0.0, 1.0, z)
-        return np.where(z == 0.0, 1.0, np.expm1(z) / safe)
-    return hyp1f1(c, b, z) * rgamma(b)
+    """E_{1,b}^c(z) via the confluent hypergeometric function; raises
+    AccuracyError at the first argument whose value is past the double
+    range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if b == 1.0 and c == 1.0:
+            res = np.exp(z)
+        elif b == 2.0 and c == 1.0:
+            safe = np.where(z == 0.0, 1.0, z)
+            res = np.where(z == 0.0, 1.0, np.expm1(z) / safe)
+        else:
+            res = hyp1f1(c, b, z) * rgamma(b)
+    bad = ~np.isfinite(res)
+    if bad.any():
+        raise AccuracyError(f"E_{{1,{b}}}^{c}({z[bad][0]}) is past the double range")
+    return res
 
 
 # Arguments per call of the large-argument regimes.  A spectral argument
@@ -452,8 +459,8 @@ def prabhakar(a, b, c, z):
         If a parameter is outside its domain, or ``z`` is NaN or has
         ``|z| > Z_MAX``.
     AccuracyError
-        If no regime certifies the accuracy target, or two regimes disagree
-        at a hand-off boundary.
+        If no regime certifies the accuracy target, two regimes disagree
+        at a hand-off boundary, or a value is past the double range.
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"order a must be in (0, 1], got {a}")
@@ -497,7 +504,11 @@ def ml_density(t, k: MLKernelParams):
     Raises
     ------
     DomainError
-        If any ``t`` is not > 0 (NaN included).
+        If any ``t`` is not > 0 (NaN included), or ``gamma*t**beta`` is
+        past ``Z_MAX``.
+    AccuracyError
+        If ``gamma*t**(beta-1)`` is past the double range (subnormal
+        ``t``).
     """
     t_arr = np.asarray(t, dtype=float)
     if not (t_arr > 0.0).all():
@@ -505,10 +516,16 @@ def ml_density(t, k: MLKernelParams):
     if k.beta == 1.0:
         res = k.gamma * np.exp(-k.gamma * t_arr)
     else:
-        tb = t_arr ** k.beta
-        res = k.gamma * t_arr ** (k.beta - 1.0) * prabhakar(
-            k.beta, k.beta, 1.0, -k.gamma * tb
-        )
+        # past the double range, gamma*t**beta meets prabhakar's |z| guard
+        with np.errstate(over="ignore"):
+            head = k.gamma * t_arr ** (k.beta - 1.0)
+            z = -k.gamma * t_arr ** k.beta
+        if not np.isfinite(head).all():
+            raise AccuracyError(
+                f"the kernel density at t={float(t_arr.min())!r} is past the "
+                "double range"
+            )
+        res = head * prabhakar(k.beta, k.beta, 1.0, z)
     return float(res) if t_arr.ndim == 0 else res
 
 

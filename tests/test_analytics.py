@@ -9,13 +9,13 @@ import pytest
 from scipy.integrate import quad
 
 from fhawkes import (
+    AccuracyError,
     DomainError,
     ModelParams,
     asymptote,
     expected_n,
     expected_n_half,
     forward_lt,
-    ilt,
     ilt_grid,
     lambda_exact,
     lambda_exact_half,
@@ -117,7 +117,7 @@ class TestPrincipalPower:
         # falls below sqrt(tiny) for t >= 1e155
         p = ModelParams(1.0, 0.5, 0.99, 1.0)
         limit = p.lambda0 if t < 1.0 else asymptote(p)
-        assert ilt(lambda_image(p), t).value == pytest.approx(limit, rel=1e-9)
+        assert float(ilt_grid(lambda_image(p), t)[0]) == pytest.approx(limit, rel=1e-9)
 
 
 class TestLambdaExact:
@@ -240,3 +240,26 @@ class TestExpectedN:
         assert np.all(v >= 0.0)
         assert np.all(np.diff(v) > 0.0)
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestDoubleRange:
+    """Past the double range each closed form raises its FHawkesError, with
+    no raw overflow warning first."""
+
+    FAST = ModelParams(1.0, 0.5, 0.5, 1e300)  # gamma*t**beta overflows at 1e300
+
+    def test_expected_count_overflows(self):
+        with pytest.raises(AccuracyError, match=r"expected count at t=100000000\.0"):
+            expected_n(1e8, ModelParams(1e300, 0.5, 0.5, 1.0))
+        with pytest.raises(AccuracyError, match=r"expected count at t=100000000\.0"):
+            expected_n_half([1.0, 1e8], ModelParams(1e300, 0.5, 0.5, 1.0))
+
+    def test_expected_intensity_overflows(self):
+        with pytest.raises(AccuracyError, match=r"expected intensity at t=1\.0"):
+            lambda_exact([1.0, 2.0], ModelParams(1e308, 0.9, 0.5, 1.0))
+
+    def test_argument_past_z_max(self):
+        with pytest.raises(DomainError, match="Z_MAX"):
+            lambda_exact(1e300, self.FAST)
+        # erfcx of the overflowed argument is 0: the value is the asymptote
+        assert lambda_exact_half(1e300, self.FAST) == asymptote(self.FAST)

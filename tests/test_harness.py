@@ -21,8 +21,6 @@ from fhawkes.harness import (
 from fhawkes.errors import ContourError, DomainError
 from fhawkes.io import (
     CURVE_COLUMNS,
-    read_curves_csv,
-    read_dist_csv,
     read_events_csv,
     read_report_json,
     write_curves_csv,
@@ -35,6 +33,16 @@ from fhawkes import expected_n, simulate_thinning
 P = ModelParams(1.0, 0.1, 0.5, 0.8)
 
 
+def _read_table(path, dtype=float):
+    """A curves or distribution CSV as a structured array, one field per
+    column; blank cells read as NaN."""
+    return np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True, dtype=dtype))
+
+
+# the column types of a distribution CSV: t, k, freq, p_hat, p_ref
+DIST_TYPES = (float, int, int, float, float)
+
+
 class TestIo:
     def test_curves_round_trip(self, tmp_path):
         path = tmp_path / "curve.csv"
@@ -45,7 +53,7 @@ class TestIo:
             "exact": np.array([0.45, 1.05, 2.15]),
         }
         write_curves_csv(path, table)
-        back = read_curves_csv(path)
+        back = _read_table(path)
         for key, vals in table.items():
             np.testing.assert_array_equal(back[key], vals)
         assert np.all(np.isnan(back["ilt"]))
@@ -54,9 +62,9 @@ class TestIo:
         path = tmp_path / "dist.csv"
         records = [(1.0, 0, 37, 0.37, 0.368), (1.0, 1, 63, 0.63, math.nan)]
         write_dist_csv(path, records)
-        back = read_dist_csv(path)
-        assert back[0] == records[0]
-        assert back[1][:4] == records[1][:4] and math.isnan(back[1][4])
+        back = _read_table(path, DIST_TYPES)
+        assert back[0].tolist() == records[0]
+        assert back[1].tolist()[:4] == records[1][:4] and math.isnan(back[1]["p_ref"])
 
     def test_events_round_trip(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -119,7 +127,7 @@ class TestIoExact:
     def test_curves(self, tmp_path, table):
         path = tmp_path / "curves.csv"
         write_curves_csv(path, table)
-        back = read_curves_csv(path)
+        back = _read_table(path)
         n = len(table["t"])
         for c in CURVE_COLUMNS:
             assert _bits(back[c]) == _bits(table.get(c, [math.nan] * n))
@@ -130,10 +138,12 @@ class TestIoExact:
     def test_dist(self, tmp_path, records):
         path = tmp_path / "dist.csv"
         write_dist_csv(path, records)
-        back = read_dist_csv(path)
-        assert [r[1:3] for r in back] == [r[1:3] for r in records]
-        for col in (0, 3, 4):
-            assert _bits([r[col] for r in back]) == _bits([r[col] for r in records])
+        back = _read_table(path, DIST_TYPES)
+        for col, name in enumerate(back.dtype.names):
+            if col in (1, 2):
+                assert back[name].tolist() == [r[col] for r in records]
+            else:
+                assert _bits(back[name]) == _bits([r[col] for r in records])
 
     @_SETTINGS
     @given(_event_sequences())

@@ -19,7 +19,6 @@ from fhawkes import (
     QuadratureError,
     expected_n,
     forward_lt,
-    ilt,
     ilt_grid,
     lambda_exact,
     lambda_image,
@@ -52,10 +51,11 @@ SCALAR_GOLDEN = [
     (0.99, 1.7, 10.0, "0x1.2f7a1661e5e23p-3"),
 ]
 
-# ilt and ilt_grid at ILT_GOLDEN_TIMES as (value, error estimate) pairs,
-# printed at 64 midpoint terms plus 32 Euler terms.  Each value lies on the
-# exp(-24) aliasing floor of its exact inverse: within 1e-10 of lambda_exact,
-# and 1.13e-10 from t for the ramp 1/s**2.  These bits must not move.
+# ilt_grid at ILT_GOLDEN_TIMES, each time alone and all together, as
+# (value, error estimate) pairs printed at 64 midpoint terms plus 32 Euler
+# terms.  Each value lies on the exp(-24) aliasing floor of its exact
+# inverse: within 1e-10 of lambda_exact, and 1.13e-10 from t for the ramp
+# 1/s**2.  These bits must not move.
 ILT_GOLDEN_TIMES = (0.05, 1.0, 7.3, 50.0)
 ILT_GOLDEN = {
     "ramp": [
@@ -87,7 +87,7 @@ C04_TIMES = np.geomspace(0.05, 50.0, 160)
 GROWING_PAIR = (lambda s: 1.0 / (s - 1.0), lambda t: np.exp(t), 1.0)
 
 
-# (ilt value, its estimate, expected_n_ilt_curve) at t = 1e-300 and 1e-303,
+# (ilt_grid value, estimate, expected_n_ilt_curve) at t = 1e-300 and 1e-303,
 # for ModelParams(1, 0.5, 0.5, 1): the smallest times whose contour scale
 # exp(offset*t)/t = e**12/t is finite
 TINY_TIME_BITS = {
@@ -98,16 +98,16 @@ TINY_TIME_BITS = {
 
 class TestIlt:
     def test_constant(self):
-        res = ilt(LaplaceImage(lambda s: 1.0 / s), 3.7)
-        assert res.value == pytest.approx(1.0, abs=1e-6)
+        value, _ = ilt_grid(LaplaceImage(lambda s: 1.0 / s), 3.7)
+        assert float(value) == pytest.approx(1.0, abs=1e-6)
 
     def test_exponential(self):
-        res = ilt(LaplaceImage(lambda s: 1.0 / (s + 1.0), sigma0=-1.0), 2.0)
-        assert res.value == pytest.approx(math.exp(-2.0), abs=1e-6)
+        value, _ = ilt_grid(LaplaceImage(lambda s: 1.0 / (s + 1.0), sigma0=-1.0), 2.0)
+        assert float(value) == pytest.approx(math.exp(-2.0), abs=1e-6)
 
     def test_ramp(self):
-        res = ilt(LaplaceImage(lambda s: 1.0 / s ** 2), 5.0)
-        assert res.value == pytest.approx(5.0, abs=1e-5 * 5.0)
+        value, _ = ilt_grid(LaplaceImage(lambda s: 1.0 / s ** 2), 5.0)
+        assert float(value) == pytest.approx(5.0, abs=1e-5 * 5.0)
 
     def test_transform_pair_suite(self):
         ts = np.geomspace(0.1, 20.0, 40)
@@ -129,21 +129,21 @@ class TestIlt:
         img_b = lambda s: 1.0 / (s + 1.0)
         combo = LaplaceImage(lambda s: 2.0 * img_a(s) + 3.0 * img_b(s))
         t = 1.5
-        lhs = ilt(combo, t).value
-        rhs = 2.0 * ilt(LaplaceImage(img_a), t).value + 3.0 * ilt(
-            LaplaceImage(img_b), t
-        ).value
+        lhs = float(ilt_grid(combo, t)[0])
+        rhs = 2.0 * float(ilt_grid(LaplaceImage(img_a), t)[0]) + 3.0 * float(
+            ilt_grid(LaplaceImage(img_b), t)[0]
+        )
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_error_estimate_reported(self):
-        res = ilt(LaplaceImage(lambda s: 1.0 / s), 2.0)
-        assert res.error_estimate >= 0.0
+        _, est = ilt_grid(LaplaceImage(lambda s: 1.0 / s), 2.0)
+        assert est.shape == () and est >= 0.0
 
     def test_rejects_nonpositive_time(self):
         for image in (LaplaceImage(lambda s: 1.0 / s), _decay_family((0.0, 1.0))):
             for t in (0.0, -1.0, math.nan, math.inf):
                 with pytest.raises(DomainError):
-                    ilt(image, t)
+                    ilt_grid(image, t)
                 with pytest.raises(DomainError):
                     ilt_grid(image, [1.0, t])
 
@@ -153,7 +153,7 @@ class TestIlt:
                 return 1.0 / (s - s)
 
         with pytest.raises(ContourError):
-            ilt(LaplaceImage(bad_fn), 1.0)
+            ilt_grid(LaplaceImage(bad_fn), 1.0)
 
     @pytest.mark.parametrize("t", [1e-300, 1e-303, 1e-305, 1e-307])
     def test_tiny_times(self, t):
@@ -163,14 +163,15 @@ class TestIlt:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if t not in TINY_TIME_BITS:
-                for call in (ilt, lambda image, t: ilt_grid(image, [t])):
+                for ts in (t, [t]):
                     with pytest.raises(ContourError):
-                        call(lambda_image(p), t)
+                        ilt_grid(lambda_image(p), ts)
                 with pytest.raises(ContourError):
                     expected_n_ilt_curve(p, [t])
                 return
             value, est, count = (float.fromhex(h) for h in TINY_TIME_BITS[t])
-            assert tuple(ilt(lambda_image(p), t)) == (value, est)
+            vals, errs = ilt_grid(lambda_image(p), t)
+            assert (vals.tolist(), errs.tolist()) == (value, est)
             vals, errs = ilt_grid(lambda_image(p), [t])
             assert (vals.tolist(), errs.tolist()) == ([value], [est])
             assert expected_n_ilt_curve(p, [t]).tolist() == [count]
@@ -182,7 +183,7 @@ class TestIlt:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ConvergenceWarning)
             with pytest.raises(ConvergenceWarning):
-                ilt(rough, 1.0)
+                ilt_grid(rough, 1.0)
 
     def test_round_trip_through_forward(self):
         # smooth bounded original: numerical forward transform, numerically
@@ -220,9 +221,9 @@ class TestIltBits:
         image = _golden_image(key)
         golden = [(float.fromhex(v), float.fromhex(e)) for v, e in ILT_GOLDEN[key]]
         for t, pair in zip(ILT_GOLDEN_TIMES, golden):
-            res = ilt(image, t)
-            assert type(res.value) is float and type(res.error_estimate) is float
-            assert (res.value, res.error_estimate) == pair
+            value, est = ilt_grid(image, t)
+            assert value.shape == est.shape == ()
+            assert (value.tolist(), est.tolist()) == pair
         vals, errs = ilt_grid(image, ILT_GOLDEN_TIMES)
         assert list(zip(vals.tolist(), errs.tolist())) == golden
         if key == "ramp":
@@ -279,9 +280,11 @@ class TestIltFamily:
         assert np.array_equal(vals.reshape(3, 6), flat)
 
     def test_zero_dimensional_times(self):
-        vals, errs = ilt_grid(_decay_family(self.RATES), 1.5)
+        vals, errs = ilt_grid(_decay_family(self.RATES), 2.0)
         assert vals.shape == errs.shape == (3,)
-        one, _ = ilt_grid(LaplaceImage(lambda s: 1.0 / (s + 0.5)), 1.5)
+        np.testing.assert_allclose(vals, np.exp(-2.0 * np.array(self.RATES)),
+                                   rtol=0, atol=1e-8)
+        one, _ = ilt_grid(LaplaceImage(lambda s: 1.0 / (s + 0.5)), 2.0)
         assert one.shape == ()
         assert vals[1] == one
 
@@ -290,12 +293,6 @@ class TestIltFamily:
         assert vals.shape == errs.shape == (3, 0)
         vals, errs = ilt_grid(LaplaceImage(lambda s: 1.0 / s), np.empty((0, 4)))
         assert vals.shape == errs.shape == (0, 4)
-
-    def test_ilt_returns_arrays_for_a_family(self):
-        res = ilt(_decay_family(self.RATES), 2.0)
-        assert res.value.shape == res.error_estimate.shape == (3,)
-        np.testing.assert_allclose(res.value, np.exp(-2.0 * np.array(self.RATES)),
-                                   rtol=0, atol=1e-8)
 
     def test_warning_names_the_row(self):
         # exp(-20) at t = 10 is small against the contour's absolute error
@@ -322,7 +319,7 @@ class TestIltFamily:
         with pytest.raises(ContourError):
             ilt_grid(LaplaceImage(fn), [1.0, 2.0])
         with pytest.raises(ContourError):
-            ilt(LaplaceImage(fn), 1.0)
+            ilt_grid(LaplaceImage(fn), 1.0)
 
 
 def _complex_forward(f, s):

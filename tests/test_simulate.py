@@ -27,7 +27,7 @@ from fhawkes import (
 )
 from fhawkes import simulate
 from fhawkes.harness import count_matrix
-from fhawkes.simulate import _exp_mixture, replica_stream
+from fhawkes.simulate import _exp_mixture, _stream, _stream_keys
 
 E_055_M01 = 0.47454388555084361831  # E_{0.5,0.5}(-0.1)
 
@@ -75,6 +75,13 @@ class TestIntensity:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             intensity(-1.0, np.array([]), P_WEAK)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_argument_past_the_double_range(self):
+        # gamma*t**beta overflows: prabhakar's |z| guard, with no raw
+        # overflow warning first
+        with pytest.raises(DomainError, match="Z_MAX"):
+            intensity(1e300, [1.0], ModelParams(1.0, 0.5, 0.5, 1e300))
 
 
 class TestEventSequence:
@@ -209,9 +216,9 @@ class TestExpHawkes:
 
 class TestStreams:
     def test_engine_and_replica_separate_streams(self):
-        a = replica_stream(1, "thinning", 0).random(4)
-        b = replica_stream(1, "cluster", 0).random(4)
-        c = replica_stream(1, "thinning", 1).random(4)
+        a = _stream(_stream_keys(1, "thinning", [0])[0]).random(4)
+        b = _stream(_stream_keys(1, "cluster", [0])[0]).random(4)
+        c = _stream(_stream_keys(1, "thinning", [1])[0]).random(4)
         assert not np.allclose(a, b)
         assert not np.allclose(a, c)
 
@@ -260,11 +267,11 @@ class TestStreams:
         for engine, key in (("thinning", 0), ("cluster", 1), ("exp_hawkes", 3)):
             bits = np.random.Philox(np.random.SeedSequence((5, key, 2)))
             np.testing.assert_array_equal(
-                replica_stream(5, engine, 2).random(8),
+                _stream(_stream_keys(5, engine, [2])[0]).random(8),
                 np.random.Generator(bits).random(8),
             )
         with pytest.raises(DomainError):
-            replica_stream(5, "poisson", 2)
+            sample_paths(P_WEAK, 1.0, 5, [2], "poisson")
         with pytest.raises(DomainError):
             count_matrix(P_WEAK, [1.0], 1, 5, "poisson")
 
@@ -288,9 +295,7 @@ class TestStreams:
         "seed, replica", [(5.9, 0), (5, 1.5), (True, 0), (5, False), (-1, 0), (5, -2), ("5", 0)]
     )
     def test_seed_and_replica_must_be_nonnegative_integers(self, seed, replica):
-        with pytest.raises(DomainError):
-            replica_stream(seed, "thinning", replica)
-        for engine in ("thinning", "cluster"):
+        for engine in ("thinning", "cluster", "exp_hawkes"):
             with pytest.raises(DomainError):
                 sample_paths(P_WEAK, 1.0, seed, [replica], engine)
 
@@ -301,8 +306,8 @@ class TestStreams:
 
     def test_numpy_integers_are_accepted(self):
         np.testing.assert_array_equal(
-            replica_stream(np.int64(5), "thinning", np.uint8(2)).random(4),
-            replica_stream(5, "thinning", 2).random(4),
+            sample_paths(P_WEAK, 5.0, np.int64(5), [np.uint8(2)])[0].epochs,
+            sample_paths(P_WEAK, 5.0, 5, [2])[0].epochs,
         )
         np.testing.assert_array_equal(
             count_matrix(P_WEAK, [1.0, 5.0], np.int32(20), np.uint64(7)),
@@ -319,8 +324,8 @@ class TestStreams:
                 )
 
     def test_order_insensitive(self):
-        late = replica_stream(9, "thinning", 500).random(3)
-        again = replica_stream(9, "thinning", 500).random(3)
+        late = _stream(_stream_keys(9, "thinning", [500])[0]).random(3)
+        again = _stream(_stream_keys(9, "thinning", [3, 500])[1]).random(3)
         np.testing.assert_array_equal(late, again)
 
 
@@ -594,8 +599,6 @@ class TestFiniteInputs:
 
     @pytest.mark.parametrize("seed,replica", [(-1, 0), (1, -1)])
     def test_negative_seed_or_replica(self, seed, replica):
-        with pytest.raises(DomainError):
-            replica_stream(seed, "thinning", replica)
         with pytest.raises(DomainError):
             simulate_cluster(P_WEAK, 1.0, seed, replica)
         for engine in ("thinning", "cluster", "exp_hawkes"):

@@ -31,7 +31,7 @@ from fhawkes import (
     prabhakar,
 )
 from fhawkes import special
-from fhawkes.simulate import intensity, replica_stream, simulate_cluster
+from fhawkes.simulate import _stream, _stream_keys, intensity, simulate_cluster
 from oracle import prabhakar_oracle, prabhakar_series
 
 # oracle values, 20 significant digits
@@ -93,6 +93,17 @@ class TestPrabhakar:
         for z in (26.65, np.array([1.0, 26.65])):
             with pytest.raises(AccuracyError):
                 prabhakar(0.5, 1.0, 1.0, z)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_order_one_overflow_is_accuracy_error(self):
+        # the closed forms at a = 1 pass the double range as the series does
+        # at a < 1, and name the argument
+        calls = [(prabhakar, (1.0, 1.0, 1.0, 1000.0)),
+                 (prabhakar, (1.0, 1.3, 2.0, np.array([1.0, 1000.0]))),
+                 (ml_one, (1.0, 800.0))]
+        for fn, args in calls:
+            with pytest.raises(AccuracyError, match=r"\((1000|800)\.0\) is past"):
+                fn(*args)
 
     def test_vectorized_matches_scalar(self):
         z = np.array([-0.5, -8.0, -300.0, 0.0, 1.5])
@@ -318,6 +329,14 @@ class TestMlDensity:
                 with pytest.raises(DomainError):
                     ml_density(t, MLKernelParams(beta, 1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_at_subnormal_time(self):
+        # t**(beta - 1) passes the double range at the smallest subnormal
+        with pytest.raises(AccuracyError, match="t=5e-324"):
+            ml_density(5e-324, MLKernelParams(0.001, 1.0))
+        with pytest.raises(AccuracyError, match="t=5e-324"):
+            ml_density([1.0, 5e-324], MLKernelParams(0.001, 1.0))
+
     @pytest.mark.parametrize("beta", [0.999, 0.9999])
     def test_near_exponential_vs_oracle(self, beta, near_one_table):
         # the spectral quadrature resolves the mixing density's pole, whose
@@ -419,13 +438,13 @@ class TestErfcx:
 
 class TestSampling:
     def test_exponential_case_mean(self):
-        rng = replica_stream(11, "cluster", 0)
+        rng = _stream(_stream_keys(11, "cluster", [0])[0])
         draws = ml_sample(rng, MLKernelParams(1.0, 2.0), 100_000)
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - 0.5) < 3.0 * se
 
     def test_survival_matches_ml(self):
-        rng = replica_stream(12, "cluster", 0)
+        rng = _stream(_stream_keys(12, "cluster", [0])[0])
         draws = ml_sample(rng, MLKernelParams(0.5, 1.0), 100_000)
         surv = np.mean(draws > 1.0)
         ref = ml_one(0.5, -1.0)
@@ -433,19 +452,19 @@ class TestSampling:
         assert abs(surv - ref) < 3.0 * se
 
     def test_ks_against_cdf(self):
-        rng = replica_stream(13, "cluster", 0)
+        rng = _stream(_stream_keys(13, "cluster", [0])[0])
         beta = 0.6
         draws = ml_sample(rng, MLKernelParams(beta, 1.0), 10_000)
         stat, pvalue = kstest(draws, lambda t: 1.0 - ml_one(beta, -(t ** beta)))
         assert pvalue > 0.01
 
     def test_positive(self):
-        rng = replica_stream(14, "cluster", 0)
+        rng = _stream(_stream_keys(14, "cluster", [0])[0])
         draws = ml_sample(rng, MLKernelParams(0.3, 0.5), 10_000)
         assert np.all(draws > 0.0)
 
     def test_sizes(self):
-        rng = replica_stream(15, "cluster", 0)
+        rng = _stream(_stream_keys(15, "cluster", [0])[0])
         k = MLKernelParams(0.5, 1.0)
         assert ml_sample(rng, k, 0).shape == (0,)
         assert ml_sample(rng, k, (2, 3)).shape == (2, 3)
