@@ -188,17 +188,22 @@ def expected_n_half(t, p: ModelParams):
 
     ``lambda0*t/(1-alpha) - alpha*lambda0/((1-alpha)^3*gamma^2*sqrt(pi)) *
     (sqrt(pi)*erfcx(x) + 2*x - sqrt(pi))`` with ``x = (1-alpha)*gamma*sqrt(t)``.
+    Raises AccuracyError if ``gamma**2`` is past the double range.
     """
     if p.beta != 0.5:
         raise DomainError("closed form requires beta = 1/2 exactly")
     t_arr = _times(t, "expected count")
     one_m = 1.0 - p.alpha
+    try:
+        gamma_sq = p.gamma ** 2
+    except OverflowError:
+        raise AccuracyError(f"gamma**2 overflows at gamma={p.gamma:g}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         x = one_m * p.gamma * np.sqrt(t_arr)
         bracket = _SQRT_PI * (erfcx(x) - 1.0) + 2.0 * x
         res = (
             p.lambda0 * t_arr / one_m
-            - p.alpha * p.lambda0 / (one_m ** 3 * p.gamma ** 2 * _SQRT_PI) * bracket
+            - p.alpha * p.lambda0 / (one_m ** 3 * gamma_sq * _SQRT_PI) * bracket
         )
     return _finite(res, t_arr, "expected count")
 

@@ -46,7 +46,7 @@ import numpy as np
 
 from .analytics import ModelParams
 from .errors import AccuracyError, BudgetError, DomainError
-from .special import MLKernelParams, ml_density, ml_one, ml_sample, ml_spectral
+from .special import Z_MAX, MLKernelParams, ml_density, ml_one, ml_sample, ml_spectral
 
 __all__ = [
     "EventSequence",
@@ -125,15 +125,11 @@ def _stream_keys(seed: int, engine: str, replicas) -> np.ndarray:
              for r in replicas], dtype=np.uint64).reshape(-1, 2)
     const = _HASH_INIT_A
 
-    def hashmix(value):
+    def hashmix(value, mult=_HASH_MULT_A):
         nonlocal const
         value = value ^ np.uint32(const)
-        const = const * _HASH_MULT_A & _MASK32
+        const = const * mult & _MASK32
         value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y
         return value ^ (value >> np.uint32(16))
 
     words = np.zeros((4, len(replicas)), dtype=np.uint32)
@@ -142,14 +138,10 @@ def _stream_keys(seed: int, engine: str, replicas) -> np.ndarray:
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+                value = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = value ^ (value >> np.uint32(16))
     const = _HASH_INIT_B
-    state = np.empty((len(replicas), 4), dtype=np.uint32)
-    for i, value in enumerate(pool):
-        value = value ^ np.uint32(const)
-        const = const * _HASH_MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> np.uint32(16))
+    state = np.stack([hashmix(value, _HASH_MULT_B) for value in pool], axis=1)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -238,14 +230,24 @@ def _exp_mixture(kernel: MLKernelParams, horizon: float):
     mass above ``_RATE_MAX``, in closed form, becomes one faster component,
     so ``f_Q`` keeps the mass of ``f``'s singular head yet is finite at 0.
     At ``beta = 1`` the surrogate is the kernel: rate and weight ``gamma``.
-    Raises AccuracyError if the relative error on lags ``[_LAG_MIN,
-    horizon]``, or the mass lost on ``[0, horizon]``, exceeds
-    ``_MIXTURE_RTOL``.
+    Raises DomainError if ``gamma * horizon**beta`` exceeds ``Z_MAX``,
+    checked first for every ``beta``; AccuracyError if ``gamma**(1/beta)``
+    overflows, or if the relative error on lags ``[_LAG_MIN, horizon]``, or
+    the mass lost on ``[0, horizon]``, exceeds ``_MIXTURE_RTOL``.
     """
     beta, gamma = kernel.beta, kernel.gamma
+    # below beta = 1, certification's ml_density guard at lag horizon, with
+    # the power formed as there; at beta = 1 it keeps gamma * ulp(t) << 1,
+    # lest proposals land on the last epoch while its jump is still whole
+    reach = gamma * float(np.power(horizon, beta))
+    if not reach <= Z_MAX:
+        raise DomainError(f"gamma * horizon**beta = {reach:g} exceeds Z_MAX={Z_MAX:g}")
     if beta == 1.0:
         return np.array([gamma]), np.array([gamma])
-    s = gamma ** (1.0 / beta)
+    try:
+        s = gamma ** (1.0 / beta)
+    except OverflowError:
+        raise AccuracyError(f"gamma**(1/beta) overflows: beta={beta}, gamma={gamma}") from None
     u_hi = math.log(_RATE_MAX / s)
     u_lo = math.log(min(1.0, 1.0 / (s * horizon))) + math.log(1e-9) / (1.0 + beta)
     pole = math.pi * (1.0 / beta - 1.0)
@@ -483,8 +485,9 @@ def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
     time.  Every check runs once, before any stream is
     keyed: the seed and replica indices, the horizon, then the cluster's
     Poisson mean (``ModelParams`` holds ``alpha < 1``), or the thinning
-    event budget and kernel certification.  The streams' keys are hashed
-    together, and each Generator is made when its path is drawn."""
+    event budget, the kernel's argument range and its certification.  The
+    streams' keys are hashed together, and each Generator is made when its
+    path is drawn."""
     seed = _index("seed", seed)
     replicas = [_index("replica", r) for r in replicas]
     _check_horizon(horizon)
@@ -559,7 +562,8 @@ def simulate_thinning(
     plus a step envelope of the last event's kernel at two cells per
     octave of lag: about 1.2 proposals per event at alpha = 0.5 and beta =
     1/2 or 0.9.  An event whose step does not advance the time in floating
-    point moves to the next float after the last epoch.
+    point moves to the next float after the last epoch.  Every ``beta``
+    keeps ``gamma * horizon**beta`` within ``Z_MAX``, else DomainError.
     :func:`sample_paths` certifies the surrogate once for many paths.
     """
     return sample_paths(p, horizon, seed, [replica], "thinning")[0]
@@ -604,10 +608,9 @@ def _cluster(p: ModelParams, horizon: float, rng: np.random.Generator) -> np.nda
         collected.append(children)
         generation = children
     epochs = np.sort(np.concatenate(collected))
-    epochs = epochs[epochs > 0.0]
-    stuck = np.flatnonzero(np.diff(epochs) <= 0.0)
-    if stuck.size:
-        for i in range(stuck[0] + 1, epochs.size):
-            epochs[i] = max(epochs[i], math.nextafter(epochs[i - 1], math.inf))
-        epochs = epochs[epochs <= horizon]
-    return epochs
+    # bits[i] = max(bits[i], bits[i-1] + 1), a running maximum of bits - i:
+    # positive doubles order as their bits, and the next float is bits + 1
+    bits = epochs[epochs > 0.0].view(np.int64)
+    i = np.arange(bits.size)
+    epochs = (np.maximum.accumulate(bits - i) + i).view(float)
+    return epochs[epochs <= horizon]

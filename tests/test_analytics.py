@@ -263,3 +263,12 @@ class TestDoubleRange:
             lambda_exact(1e300, self.FAST)
         # erfcx of the overflowed argument is 0: the value is the asymptote
         assert lambda_exact_half(1e300, self.FAST) == asymptote(self.FAST)
+
+    def test_half_form_gamma_square_overflows(self):
+        # gamma**2 overflows at gamma = 1e155; the general form's argument is
+        # past Z_MAX there
+        p = ModelParams(1.0, 0.5, 0.5, 1e155)
+        with pytest.raises(AccuracyError, match=r"gamma\*\*2 overflows at gamma=1e\+155"):
+            expected_n_half(1.0, p)
+        with pytest.raises(DomainError, match="Z_MAX"):
+            expected_n(1.0, p)

@@ -253,6 +253,19 @@ class TestSimulateCmd:
         assert code == 2
         assert "numerical failure" in err and "Poisson mean" in err
 
+    def test_kernel_argument_past_z_max_is_numerical_failure(self, monkeypatch, capsys,
+                                                             tmp_path):
+        # gamma**(1/beta) would overflow at gamma = 1e300; the range rule on
+        # gamma * horizon**beta raises first
+        code, err = _exit_code(
+            monkeypatch, capsys, "simulate", "--lambda0", "1", "--alpha", "0.5",
+            "--beta", "0.5", "--gamma", "1e300", "--horizon", "10", "--replicas", "1",
+            "--seed", "1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+        assert "Z_MAX" in err
+
 
 class TestDistCmd:
     def test_poisson_compare(self, runner, tmp_path):

@@ -28,6 +28,7 @@ from fhawkes import (
 from fhawkes import simulate
 from fhawkes.harness import count_matrix
 from fhawkes.simulate import _exp_mixture, _stream, _stream_keys
+from fhawkes.special import Z_MAX
 
 E_055_M01 = 0.47454388555084361831  # E_{0.5,0.5}(-0.1)
 
@@ -550,6 +551,47 @@ class TestKernelMixture:
         assert rates.tolist() == [2.5] and weights.tolist() == [2.5]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestKernelRange:
+    """Every beta meets ``gamma * horizon**beta <= Z_MAX`` before the thinning
+    kernel is built."""
+
+    @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes"])
+    def test_beta_one_past_z_max_raises_up_front(self, engine, monkeypatch):
+        # gamma * ulp(epoch) ~ 1: a proposal below half an ulp lands on the
+        # last epoch, where the intensity still holds that event's whole jump,
+        # so it is accepted, moved one float on, and begets the next
+        monkeypatch.setattr(simulate, "DEFAULT_MAX_EVENTS", 10_000)
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="Z_MAX"):
+            sample_paths(ModelParams(1.0, 0.5, 1.0, 1e16), 10.0, 0, [0], engine)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "beta,horizon", [(0.3, 1000.0), (0.5, 10.0), (0.9, 1e-3), (1.0, 100.0)]
+    )
+    def test_boundary(self, beta, horizon):
+        # the largest gamma on the rule's side certifies; the next float raises
+        gamma = Z_MAX / float(np.power(horizon, beta))
+        while gamma * float(np.power(horizon, beta)) > Z_MAX:
+            gamma = math.nextafter(gamma, 0.0)
+        while gamma * float(np.power(horizon, beta)) <= Z_MAX:
+            gamma = math.nextafter(gamma, math.inf)
+        with pytest.raises(DomainError, match="Z_MAX"):
+            _exp_mixture(MLKernelParams(beta, gamma), horizon)
+        _exp_mixture(MLKernelParams(beta, math.nextafter(gamma, 0.0)), horizon)
+
+    def test_checked_before_the_rate_scale(self):
+        # gamma**(1/beta) would overflow first
+        with pytest.raises(DomainError, match="Z_MAX"):
+            simulate_thinning(ModelParams(1.0, 0.5, 0.5, 1e300), 10.0, 0)
+
+    def test_rate_scale_past_the_double_range(self):
+        # a tiny horizon meets the rule, but gamma**(1/beta) overflows
+        with pytest.raises(AccuracyError, match=r"beta=0\.5, gamma=5e\+157"):
+            sample_paths(ModelParams(1.0, 0.5, 0.5, 5e157), 1e-300, 0, [0])
+
+
 class TestEpochs:
     @pytest.mark.parametrize("beta,horizon", [(0.3, 1000.0), (0.2, 100.0)])
     def test_strictly_increasing(self, beta, horizon):
@@ -558,6 +600,33 @@ class TestEpochs:
         p = ModelParams(1.0, 0.5, beta, 1.0)
         count_matrix(p, [horizon], 200, 5, "cluster")
         count_matrix(p, [horizon], 40, 5, "thinning")
+
+    @pytest.mark.parametrize("epochs", [
+        # a run of equal epochs, and one with a zero
+        [3.0, 1.0, 1.0, 1.0, 2.0, 0.0, 0.0],
+        # a run that pushes past the next distinct epochs
+        [1.0, 1.0, 1.0, 1.0, math.nextafter(1.0, 2.0), 1.0 + 3 * 2.0**-52, 5.0],
+        # a run that crosses the horizon
+        [9.0, 10.0 - 2.0**-49, 10.0 - 2.0**-49, 10.0 - 2.0**-49, 10.0 - 2.0**-49],
+    ])
+    def test_tie_rule_is_the_element_loop(self, epochs):
+        class Crafted:
+            """The given epochs as the immigrants, with no children."""
+
+            def poisson(self, mean, size=None):
+                return len(epochs) if size is None else np.zeros(size, dtype=np.int64)
+
+            def uniform(self, low, high, size):
+                return np.array(epochs)
+
+        ref = np.sort(epochs)
+        ref = ref[ref > 0.0]
+        for i in range(1, ref.size):
+            ref[i] = max(ref[i], math.nextafter(ref[i - 1], math.inf))
+        ref = ref[ref <= 10.0]
+        got = simulate._cluster(ModelParams(1.0, 0.5, 0.5, 1.0), 10.0, Crafted())
+        assert got.tobytes() == ref.tobytes()
+        assert np.all(np.diff(got) > 0.0)
 
 
 class TestFiniteInputs:
