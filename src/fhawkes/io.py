@@ -21,6 +21,8 @@ import pathlib
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "read_events_csv",
     "read_report_json",
@@ -78,15 +80,24 @@ def write_events_csv(path, sequences) -> None:
 
 
 def read_events_csv(path) -> dict:
-    """Parse back into ``{replica: array_of_epochs}``."""
+    """Parse back into ``{replica: array_of_epochs}``.  Raises DomainError,
+    naming the line, for a header other than ``replica,k,T_k`` or a row
+    that is not three fields: two integers and a positive finite epoch;
+    OSError if the file cannot be opened."""
     out: dict[int, list[float]] = {}
     with pathlib.Path(path).open(newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != EVENT_COLUMNS:
-            raise ValueError(f"unexpected events header {header!r}")
-        for row in r:
-            out.setdefault(int(row[0]), []).append(float(row[2]))
+        try:
+            header = next(r, [])
+            if tuple(header) != EVENT_COLUMNS:
+                raise ValueError(f"unexpected events header {header!r}")
+            for replica, k, epoch in r:
+                replica, _, epoch = int(replica), int(k), float(epoch)
+                if not 0.0 < epoch < math.inf:
+                    raise ValueError(f"epoch {epoch!r} is not positive and finite")
+                out.setdefault(replica, []).append(epoch)
+        except (ValueError, csv.Error) as exc:
+            raise DomainError(f"events CSV line {max(r.line_num, 1)}: {exc}") from None
     return {rep: np.asarray(v) for rep, v in out.items()}
 
 

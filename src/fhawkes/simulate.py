@@ -70,7 +70,8 @@ _LAG_MIN, _MIXTURE_RTOL, _CERT_LAGS = 1e-8, 1e-6, 48
 _RATE_MAX = 40.0 / _LAG_MIN
 # Composite Gauss-Legendre rule in log-rate: panel width and nodes.
 _PANEL = 1.5
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(8)
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(6)
+_LOG_MAX = math.log(np.finfo(float).max)
 _INT64_MAX = np.iinfo(np.int64).max
 _POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
 # a thinning path raises up front when it passes DEFAULT_MAX_EVENTS with
@@ -80,7 +81,7 @@ _BUDGET_CERTAIN = 1e-12
 # _LOCKSTEP_MIN are active, in blocks of at most _LOCKSTEP_BLOCK replicas.
 # Below about 16 active paths a lockstep step costs more than their scalar
 # proposals; blocks of 512 were fastest from 64 to 4096 and keep the
-# (paths x Q) work arrays near 5 MB at Q = 217.
+# (paths x Q) work arrays near 4 MB at Q = 163.
 _LOCKSTEP_MIN, _LOCKSTEP_BLOCK = 16, 512
 # exp(x) rounds to 0.0 for every x below -745.14
 _EXP_ZERO = -746.0
@@ -206,11 +207,14 @@ def intensity(t: float, history, p: ModelParams) -> float:
     """Conditional intensity ``lambda0 + alpha * sum_{T_k < t} f(t - T_k)``.
 
     Events at exactly ``t`` are excluded (left-limit convention), which
-    keeps the value finite at every epoch.
+    keeps the value finite at every epoch.  Raises DomainError for a
+    negative ``t``, or an epoch that is NaN, infinite or negative.
     """
     if not t >= 0.0:
         raise DomainError("intensity requires t >= 0")
     epochs = np.asarray(getattr(history, "epochs", history), dtype=float)
+    if not ((epochs >= 0.0) & (epochs < math.inf)).all():
+        raise DomainError("intensity requires finite epochs >= 0")
     past = epochs[epochs < t]
     if past.size == 0:
         return p.lambda0
@@ -223,17 +227,21 @@ def _exp_mixture(kernel: MLKernelParams, horizon: float):
     ``f_Q(t) = sum_q c_q * exp(-r_q * t)``, certified on ``(0, horizon]``.
 
     With ``s = gamma**(1/beta)``, ``f(t) = int s*theta * exp(-s*theta*t) *
-    ml_spectral(theta) dtheta``.  The rule is Gauss-Legendre on panels in
-    ``log(theta)``, graded towards the mixing density's pole, which lies
-    ``pi*(1/beta - 1)`` off the axis at ``theta = 1``.  The rates below the
+    ml_spectral(theta) dtheta``.  The rule is six-node Gauss-Legendre on
+    panels ``_PANEL`` wide in ``log(theta)``, graded towards the mixing
+    density's pole, which lies ``pi*(1/beta - 1)`` off the axis at
+    ``theta = 1``: Q = 163 at ``beta = 1/2``, ``gamma = 1.7`` and horizon
+    10, 229 at ``beta = 0.99``.  The rates below the
     rule carry a share ~1e-9 of ``f`` on lags up to ``horizon``; the mixing
     mass above ``_RATE_MAX``, in closed form, becomes one faster component,
     so ``f_Q`` keeps the mass of ``f``'s singular head yet is finite at 0.
     At ``beta = 1`` the surrogate is the kernel: rate and weight ``gamma``.
     Raises DomainError if ``gamma * horizon**beta`` exceeds ``Z_MAX``,
-    checked first for every ``beta``; AccuracyError if ``gamma**(1/beta)``
-    overflows, or if the relative error on lags ``[_LAG_MIN, horizon]``, or
-    the mass lost on ``[0, horizon]``, exceeds ``_MIXTURE_RTOL``.
+    checked first for every ``beta``; AccuracyError if ``s``, the rule's
+    top node ``_RATE_MAX / s``, or the mixing density at either end of the
+    rule would leave the double range (checked in logs, before any of them
+    is formed), or if the relative error on lags ``[_LAG_MIN, horizon]``,
+    or the mass lost on ``[0, horizon]``, exceeds ``_MIXTURE_RTOL``.
     """
     beta, gamma = kernel.beta, kernel.gamma
     # below beta = 1, certification's ml_density guard at lag horizon, with
@@ -244,12 +252,18 @@ def _exp_mixture(kernel: MLKernelParams, horizon: float):
         raise DomainError(f"gamma * horizon**beta = {reach:g} exceeds Z_MAX={Z_MAX:g}")
     if beta == 1.0:
         return np.array([gamma]), np.array([gamma])
-    try:
-        s = gamma ** (1.0 / beta)
-    except OverflowError:
-        raise AccuracyError(f"gamma**(1/beta) overflows: beta={beta}, gamma={gamma}") from None
-    u_hi = math.log(_RATE_MAX / s)
-    u_lo = math.log(min(1.0, 1.0 / (s * horizon))) + math.log(1e-9) / (1.0 + beta)
+    # the rule's nodes theta = rate / s lie inside (u_lo, u_hi) in log(theta):
+    # s and e**u_hi must be finite, as must ml_spectral's theta**(2*beta) and
+    # theta**(beta-1) at either end
+    log_s = math.log(gamma) / beta
+    u_hi = math.log(_RATE_MAX) - log_s
+    u_lo = min(0.0, -log_s - math.log(horizon)) + math.log(1e-9) / (1.0 + beta)
+    if not max(log_s, u_hi, 2.0 * beta * u_hi, (beta - 1.0) * u_lo) < _LOG_MAX:
+        raise AccuracyError(
+            f"kernel rates s*theta with s = gamma**(1/beta) = exp({log_s:.6g}) leave "
+            f"the double range on (0, {horizon:g}]: beta={beta}, gamma={gamma}"
+        )
+    s = gamma ** (1.0 / beta)
     pole = math.pi * (1.0 / beta - 1.0)
     graded = pole * 2.0 ** np.arange(-1.0, math.log2(_PANEL / pole))
     panels = _PANEL * np.arange(math.ceil(u_lo / _PANEL), u_hi / _PANEL)

@@ -74,6 +74,32 @@ class TestIo:
         for seq in seqs:
             np.testing.assert_array_equal(back[seq.replica], seq.epochs)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("replica,k,T_k\n0,1,0.5\n0,2,abc\n", 3),
+            ("replica,k,T_k\n0,1\n", 2),
+            ("replica,k,T_k\nx,1,0.5\n", 2),
+            ("replica,k,T_k\n0,x,0.5\n", 2),
+            ("replica,k,T_k\n0,1,0.5\n0,2,nan\n", 3),
+            ("replica,k,T_k\n0,1,-1.0\n", 2),
+            ("replica,k,T_k\n0,1,0.5,7\n", 2),
+            ("replica,k,epoch\n0,1,0.5\n", 1),
+            ("", 1),
+        ],
+        ids=["bad-epoch", "two-fields", "bad-replica", "bad-k", "nan-epoch", "negative-epoch",
+             "four-fields", "bad-header", "empty"],
+    )
+    def test_events_malformed(self, tmp_path, text, line):
+        path = tmp_path / "events.csv"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=f"line {line}:"):
+            read_events_csv(path)
+
+    def test_events_missing_file(self, tmp_path):
+        with pytest.raises(OSError):
+            read_events_csv(tmp_path / "absent.csv")
+
     def test_report_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         rep = {"criteria": [{"name": "x", "passed": True, "measured": 0.5}]}

@@ -15,6 +15,7 @@ from fhawkes import (
     BudgetError,
     DomainError,
     EventSequence,
+    FHawkesError,
     MLKernelParams,
     ModelParams,
     expected_n,
@@ -76,6 +77,13 @@ class TestIntensity:
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
             intensity(-1.0, np.array([]), P_WEAK)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -3.0])
+    def test_rejects_invalid_epochs(self, bad):
+        # a NaN epoch used to drop out of the sum, a negative one to count
+        # an event before the process starts
+        with pytest.raises(DomainError, match="epochs"):
+            intensity(5.0, [1.0, bad], P_WEAK)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_kernel_argument_past_the_double_range(self):
@@ -550,6 +558,18 @@ class TestKernelMixture:
         rates, weights = _exp_mixture(MLKernelParams(1.0, 2.5), 10.0)
         assert rates.tolist() == [2.5] and weights.tolist() == [2.5]
 
+    def test_size_on_the_grid(self):
+        # six nodes per panel certify every setting; a rule that grows the
+        # kernel fails here
+        sizes = [
+            _exp_mixture(MLKernelParams(beta, gamma), horizon)[0].size
+            for beta in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999)
+            for gamma in (0.1, 1.0, 10.0)
+            for horizon in (0.01, 10.0, 1000.0)
+        ]
+        assert len(sizes) == 63
+        assert np.median(sizes) <= 193 and max(sizes) <= 289
+
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestKernelRange:
@@ -590,6 +610,18 @@ class TestKernelRange:
         # a tiny horizon meets the rule, but gamma**(1/beta) overflows
         with pytest.raises(AccuracyError, match=r"beta=0\.5, gamma=5e\+157"):
             sample_paths(ModelParams(1.0, 0.5, 0.5, 5e157), 1e-300, 0, [0])
+
+    @pytest.mark.parametrize("gamma,horizon", [(1e6, 1e10), (1e6, 1e8), (1e-10, 1.0)])
+    def test_tiny_beta_rates_past_the_double_range(self, gamma, horizon):
+        # gamma * horizon**beta is within Z_MAX, but s = gamma**(1/beta) is
+        # 1e300, where s * horizon or the mixing density at the rule's lowest
+        # node overflows, or 1e-500, which underflows
+        with pytest.raises(FHawkesError, match="double range"):
+            sample_paths(ModelParams(1e-12, 0.5, 0.02, gamma), horizon, 0, [0])
+
+    def test_tiny_beta_within_the_double_range(self):
+        paths = sample_paths(ModelParams(1e-12, 0.5, 0.02, 1e6), 1e5, 0, [0])
+        assert len(paths) == 1
 
 
 class TestEpochs:
