@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from .analytics import ModelParams, expected_n, lambda_exact, lambda_image
-from .errors import FHawkesError
+from .errors import DomainError, FHawkesError
 from .harness import (
     count_distributions,
     count_matrix,
@@ -86,6 +86,15 @@ def _resolve_params(config, **flags) -> ModelParams:
     return ModelParams(**numbers)
 
 
+def _grid(t_max: float, grid: int) -> np.ndarray:
+    """``grid`` evenly spaced times on ``(0, t_max]``; DomainError unless
+    ``t_max`` is positive and finite, before ``np.linspace`` could turn an
+    infinite one into NaN with a raw RuntimeWarning."""
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"--t-max must be positive and finite, got {t_max}")
+    return np.linspace(0.0, t_max, grid + 1)[1:]
+
+
 @click.group(name="fhawkes")
 def cli():
     """Self-exciting point process with Mittag-Leffler kernel."""
@@ -105,7 +114,7 @@ def cli():
 def lambda_cmd(config, lambda0, alpha, beta, gamma, t_max, grid, method, out):
     """Expected intensity curve on a uniform grid."""
     p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
-    t = np.linspace(0.0, t_max, grid + 1)[1:]
+    t = _grid(t_max, grid)
     table = {"t": t}
     if method in ("exact", "both"):
         table["exact"] = lambda_exact(t, p)
@@ -136,7 +145,7 @@ def expected_n_cmd(
 ):
     """Expected event count: closed form, numerical inversion, Monte Carlo."""
     p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
-    times = np.linspace(0.0, t_max, grid + 1)[1:]
+    times = _grid(t_max, grid)
     table = {"t": times}
     if method in ("mc", "all"):
         table["mc_mean"], table["mc_se"] = mean_and_se(

@@ -181,13 +181,15 @@ def count_distributions(
     its reference pmf: ``None``; ``"poisson"``, Poisson(lambda0*t) on
     ``k = 0..kmax + 30`` for the largest observed count ``kmax``; or
     ``"exp_hawkes"``, the empirical pmf of the exponential-kernel process at
-    matched ``(seed, replica)`` indices.
+    matched ``(seed, replica)`` indices.  ``times`` is a scalar or 1-d, as
+    for :func:`count_matrix`.
 
-    Raises DomainError for any other reference.
+    Raises DomainError for any other reference, and as :func:`count_matrix`
+    does.
     """
     if reference not in (None, "poisson", "exp_hawkes"):
         raise DomainError(f"unknown reference {reference!r}")
-    times = np.asarray(times, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     counts = count_matrix(p, times, replicas, seed)
     if reference == "exp_hawkes":
         ref_counts = count_matrix(p, times, replicas, seed, "exp_hawkes")

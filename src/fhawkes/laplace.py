@@ -148,7 +148,11 @@ def ilt_grid(image: LaplaceImage, ts):
     if ts.size == 0:
         lead = np.shape(image(np.empty(0, dtype=complex)))[:-1]
         return np.empty(lead + ts.shape), np.empty(lead + ts.shape)
-    pairs = [_invert(image, t) for t in ts.ravel().tolist()]
+    # a plain loop: before Python 3.12 a comprehension is a frame of its own,
+    # and the warning's stacklevel would name it instead of the caller
+    pairs = []
+    for t in ts.ravel().tolist():
+        pairs.append(_invert(image, t))
     shape = pairs[0][0].shape + ts.shape
     values = np.stack([v for v, _ in pairs], axis=-1).reshape(shape)
     errors = np.stack([e for _, e in pairs], axis=-1).reshape(shape)

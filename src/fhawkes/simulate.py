@@ -22,10 +22,10 @@ thinning kernel once per call: :func:`sample_paths` returns its paths,
 :func:`count_matrix` counts N(t) on them for :mod:`fhawkes.harness`, the
 CLI and the validation criteria.  Thinning paths advance in lockstep, in
 blocks of at most ``_LOCKSTEP_BLOCK``: one vector step gives every active
-replica its next proposal.  Below ``_LOCKSTEP_MIN`` (K) active replicas,
-each finishes in the scalar loop, which also draws every batch narrower
-than K.  Both read the same draws in the same order, so each path is the
-same, epoch for epoch, whatever the batch width.
+replica its next proposal, until the block's last path is done.  A batch
+narrower than ``_LOCKSTEP_MIN`` (K) draws in the scalar loop instead.  Both
+read the same draws in the same order, so each path is the same, epoch for
+epoch, whatever the batch width.
 
 All engines draw from counter-based generator streams keyed by
 ``(seed, engine, replica)``, so independent replicas are reproducible and
@@ -77,11 +77,12 @@ _POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
 # a thinning path raises up front when it passes DEFAULT_MAX_EVENTS with
 # probability above 1 - _BUDGET_CERTAIN
 _BUDGET_CERTAIN = 1e-12
-# Replica-batched thinning: paths advance in lockstep while at least
-# _LOCKSTEP_MIN are active, in blocks of at most _LOCKSTEP_BLOCK replicas.
-# Below about 16 active paths a lockstep step costs more than their scalar
-# proposals; blocks of 512 were fastest from 64 to 4096 and keep the
-# (paths x Q) work arrays near 4 MB at Q = 163.
+# Replica-batched thinning: a batch narrower than _LOCKSTEP_MIN draws in the
+# scalar loop, since below about 16 paths a lockstep step costs more than
+# their scalar proposals; a wider one advances in lockstep, in blocks of at
+# most _LOCKSTEP_BLOCK replicas, each run to its last path.  Blocks of 512
+# were fastest from 64 to 4096 and keep the (paths x Q) work arrays near
+# 4 MB at Q = 163.
 _LOCKSTEP_MIN, _LOCKSTEP_BLOCK = 16, 512
 # exp(x) rounds to 0.0 for every x below -745.14
 _EXP_ZERO = -746.0
@@ -312,18 +313,17 @@ def _envelope(rates, jumps, horizon: float):
     return lags, levels, cum
 
 
-def _proposal_draws(rng: np.random.Generator, steps=(), uniforms=()):
+def _proposal_draws(rng: np.random.Generator):
     """Endless proposal draws ``((step, env_step), u)``: a standard
     exponential to the next point of the constant part of the dominating
     rate, one to the next point of the envelope part, and the acceptance
-    uniform.  The given ones come first, then 64 at a time from ``rng``:
-    a (64 x 2) array of standard exponentials, then 64 uniforms."""
-    yield from zip(steps, uniforms)
+    uniform, 64 at a time from ``rng``: a (64 x 2) array of standard
+    exponentials, then 64 uniforms."""
     while True:
         yield from zip(rng.standard_exponential((64, 2)).tolist(), rng.random(64).tolist())
 
 
-def _thin(lam0, rates, jumps, envelope, horizon, draws, start=None) -> np.ndarray:
+def _thin(lam0, rates, jumps, envelope, horizon, draws) -> np.ndarray:
     """Thinning epochs on ``(0, horizon]`` for the intensity
     ``lam0 + sum_q jumps_q * sum_{T_k < t} exp(-rates_q * (t - T_k))``, kept
     per component at the last epoch.
@@ -335,12 +335,11 @@ def _thin(lam0, rates, jumps, envelope, horizon, draws, start=None) -> np.ndarra
     to the intensity there.  A proposal is the earlier of the next points
     of Poisson(bound) and Poisson(E): the second inverts the envelope's
     cumulative ``cum`` with a bisect, from ``pos``, its value at the
-    current lag.  ``start = (t, last, bound, pos, state, events)`` resumes
-    a path at time ``t`` after ``events`` epochs, the last at ``last``;
-    only the new epochs are returned."""
+    current lag."""
     lags, levels, cum = (a.tolist() for a in envelope)
-    t, last, bound, pos, state, events = start or (
-        0.0, 0.0, lam0, 0.0, np.zeros_like(rates), 0)
+    t = last = pos = 0.0
+    bound = lam0
+    state = np.zeros_like(rates)
     decay = np.empty_like(rates)
     epochs = []
     for (step, env_step), u in draws:
@@ -369,7 +368,7 @@ def _thin(lam0, rates, jumps, envelope, horizon, draws, start=None) -> np.ndarra
         state += jumps
         last = t
         epochs.append(t)
-        if events + len(epochs) > DEFAULT_MAX_EVENTS:
+        if len(epochs) > DEFAULT_MAX_EVENTS:
             raise BudgetError(
                 f"thinning exceeded {DEFAULT_MAX_EVENTS} events by t={t:g}"
             )
@@ -382,16 +381,15 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     paths that :func:`_thin` draws from ``_proposal_draws(rng)``, draw for
     draw and epoch for epoch.
 
-    While at least ``_LOCKSTEP_MIN`` paths are active, one step advances
-    them all: two ``searchsorted`` calls on the envelope, one (paths x Q)
-    ``exp``, one dot product per row (the same BLAS ``ddot`` as
-    ``_thin``'s), one accept mask, and state updates on the accepted rows,
-    with the same float operations as ``_thin``.  Every active path takes
-    one proposal per step, so all of them refill their 64-proposal blocks
-    together.  Each event goes into one flat buffer of (stream, epoch)
-    pairs that doubles when full.  Below ``_LOCKSTEP_MIN``, each remaining
-    path finishes in :func:`_thin`, resumed from its state and its unread
-    draws; fewer streams start there."""
+    Fewer than ``_LOCKSTEP_MIN`` streams draw in :func:`_thin`.  More
+    advance in lockstep until the last of them passes the horizon: one step
+    gives every active path its next proposal through two ``searchsorted``
+    calls on the envelope, one (paths x Q) ``exp``, one dot product per row
+    (the same BLAS ``ddot`` as ``_thin``'s), one accept mask, and state
+    updates on the accepted rows, with the same float operations as
+    ``_thin``.  Every active path takes one proposal per step, so all of
+    them refill their 64-proposal blocks together.  Each event goes into one
+    flat buffer of (stream, epoch) pairs that doubles when full."""
     if len(rngs) < _LOCKSTEP_MIN:
         return [_thin(lam0, rates, jumps, envelope, horizon, _proposal_draws(rng))
                 for rng in rngs]
@@ -410,7 +408,7 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     when = np.empty(hit.size)
     fill = 0
     k = 0
-    while rows.size >= _LOCKSTEP_MIN:
+    while rows.size:
         if k == uniforms.shape[1]:
             steps = np.array([rngs[r].standard_exponential((64, 2)) for r in rows])
             uniforms = np.array([rngs[r].random(64) for r in rows])
@@ -465,14 +463,7 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     hit = hit[:fill]
     when = when[np.argsort(hit, kind="stable")]
     ends = np.cumsum(np.bincount(hit, minlength=len(rngs))).tolist()
-    paths = [when[a:b] for a, b in zip([0] + ends, ends)]
-    for i, r in enumerate(rows.tolist()):
-        draws = _proposal_draws(rngs[r], steps[i, k:].tolist(), uniforms[i, k:].tolist())
-        start = (float(t[i]), float(last[i]), float(bound[i]), float(pos[i]), state[i],
-                 int(events[i]))
-        paths[r] = np.concatenate(
-            [paths[r], _thin(lam0, rates, jumps, envelope, horizon, draws, start)])
-    return paths
+    return [when[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _check_budget_reachable(mean: float) -> None:
@@ -548,12 +539,14 @@ def count_matrix(
     """(replicas x len(times)) matrix of counts N(t): row ``r`` counts the
     path that :func:`sample_paths` draws for replica ``r`` on ``(0,
     max(times)]``, so ``count_matrix(p, times, R, seed)[:r]`` equals
-    ``count_matrix(p, times, r, seed)``.  Raises DomainError if ``times`` is
-    empty, has a negative time or has largest entry 0 (no horizon), or if
-    ``replicas`` is not a nonnegative integer, and otherwise as
-    :func:`sample_paths` does."""
+    ``count_matrix(p, times, r, seed)``.  Raises DomainError if ``times`` has
+    more than one dimension, is empty, has a negative time or has largest
+    entry 0 (no horizon), or if ``replicas`` is not a nonnegative integer,
+    and otherwise as :func:`sample_paths` does."""
     replicas = _index("replicas", replicas)
     times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise DomainError(f"count_matrix needs a scalar or 1-d times, got shape {times.shape}")
     if not (times.size > 0 and times.min() >= 0.0):
         raise DomainError("count_matrix needs at least one time and all times >= 0")
     _, _, paths = _paths(engine, p, float(times.max()), seed, range(replicas))

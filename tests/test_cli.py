@@ -119,6 +119,19 @@ class TestLambdaCmd:
         assert not (tmp_path / "lam.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["lambda", "expected-n"])
+@pytest.mark.parametrize("t_max", ["inf", "-inf", "nan", "0", "-5"])
+def test_t_max_outside_positive_finite_is_numerical_failure(monkeypatch, capsys, tmp_path, command, t_max):
+    code, err = _exit_code(
+        monkeypatch, capsys, command, *MODEL, "--t-max", t_max,
+        "--out", str(tmp_path / "out.csv"),
+    )
+    assert code == 2
+    assert "numerical failure" in err and "--t-max" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestExpectedNCmd:
     def test_exact(self, runner, tmp_path):
         out = tmp_path / "en.csv"

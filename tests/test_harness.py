@@ -268,6 +268,13 @@ class TestRunners:
             assert ref == poisson_reference_pmf(d.t, max(d.counts) + 30)
             assert d.tv_distance(ref) < 0.1
 
+    def test_distribution_times_are_a_scalar_or_1d(self):
+        with pytest.raises(DomainError, match="1-d"):
+            count_distributions(P, [[1.0, 2.0]], 10, 5)
+        ((scalar, _),) = count_distributions(P, 2.0, 10, 5)
+        ((listed, _),) = count_distributions(P, [2.0], 10, 5)
+        assert (scalar.t, scalar.counts) == (listed.t, listed.counts)
+
     def test_distribution_exp_hawkes_reference(self):
         p = ModelParams(1.0, 0.1, 0.99, 1.0)
         ((dist, ref),) = count_distributions(p, (5.0,), 1500, 101, "exp_hawkes")

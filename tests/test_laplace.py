@@ -185,6 +185,12 @@ class TestIlt:
             with pytest.raises(ConvergenceWarning):
                 ilt_grid(rough, 1.0)
 
+    def test_convergence_warning_names_the_caller(self):
+        rough = LaplaceImage(lambda s: np.exp(-s) / s)
+        with pytest.warns(ConvergenceWarning) as record:
+            ilt_grid(rough, 1.0)
+        assert record[0].filename == __file__
+
     def test_round_trip_through_forward(self):
         # smooth bounded original: numerical forward transform, numerically
         # inverted; oscillatory frequencies handled by weighted quadrature

@@ -243,9 +243,9 @@ class TestStreams:
             for r in range(4):
                 counts = np.searchsorted(sim(r).epochs, times, side="right")
                 assert rows[r].tolist() == counts.tolist()
-        # a batch wider than 2K runs in lockstep, then hands its last paths
-        # to the scalar loop; counts at every epoch and at the float below
-        # it pin each row's epochs exactly (rows 0, K and the last among them)
+        # a batch wider than 2K runs in lockstep to its last path; counts at
+        # every epoch and at the float below it pin each row's epochs
+        # exactly (rows 0, K and the last among them)
         wide = 2 * simulate._LOCKSTEP_MIN + 1
         for engine in ("thinning", "exp_hawkes"):
             paths = {r: sims[engine](r).epochs for r in range(wide)}
@@ -350,8 +350,8 @@ def _one_path(engine, p, horizon, seed, replica):
 class TestSamplePaths:
     @pytest.mark.parametrize("engine", ["thinning", "cluster", "exp_hawkes"])
     def test_paths_are_the_one_path_draws(self, engine):
-        # widths 1, K and 2K + 1 reach the scalar loop, one lockstep block
-        # and a block that hands its last paths to the scalar loop
+        # width 1 draws in the scalar loop; widths K and 2K + 1 each run as
+        # one lockstep block, the narrowest and one over twice as wide
         k = simulate._LOCKSTEP_MIN
         for width in (1, k, 2 * k + 1):
             replicas = range(7, 7 + width)
@@ -413,6 +413,17 @@ class TestLockstep:
         for replicas in (3, len(golden)):
             got = count_matrix(P_STRONG, (1.0, 5.0, 10.0), replicas, 11, engine)
             assert got.tolist() == golden[:replicas]
+
+    @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes"])
+    def test_blocks_run_to_their_last_path(self, engine, monkeypatch):
+        # a block of 33 draws every proposal in lockstep, those of its last
+        # paths included, and gives the scalar loop's counts
+        def no_scalar(*args):
+            raise AssertionError("a lockstep block handed paths to the scalar loop")
+
+        monkeypatch.setattr(simulate, "_thin", no_scalar)
+        got = count_matrix(P_STRONG, (1.0, 5.0, 10.0), 33, 11, engine)
+        assert got.tolist() == GOLDEN_COUNTS[engine]
 
     def test_steps_below_one_ulp(self):
         # every 4th proposal has both of its steps 1e-300: accepted, it
@@ -671,6 +682,15 @@ class TestFiniteInputs:
         ):
             with pytest.raises(DomainError):
                 call()
+
+    def test_times_at_most_one_dimensional(self):
+        for engine in ("thinning", "cluster", "exp_hawkes"):
+            with pytest.raises(DomainError, match="1-d"):
+                count_matrix(P_WEAK, [[1.0, 2.0], [3.0, 4.0]], 2, 1, engine)
+            np.testing.assert_array_equal(
+                count_matrix(P_WEAK, 2.0, 3, 1, engine),
+                count_matrix(P_WEAK, [2.0], 3, 1, engine),
+            )
 
     def test_params(self):
         with pytest.raises(DomainError):
