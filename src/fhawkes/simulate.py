@@ -23,9 +23,11 @@ thinning kernel once per call: :func:`sample_paths` returns its paths,
 CLI and the validation criteria.  Thinning paths advance in lockstep, in
 blocks of at most ``_LOCKSTEP_BLOCK``: one vector step gives every active
 replica its next proposal, until the block's last path is done.  A batch
-narrower than ``_LOCKSTEP_MIN`` (K) draws in the scalar loop instead.  Both
-read the same draws in the same order, so each path is the same, epoch for
-epoch, whatever the batch width.
+narrower than ``_LOCKSTEP_MIN`` (K = 16) draws in the scalar loop instead,
+where a proposal costs three numpy calls over the Q components and an event
+two more, about 4 us per event in all.  Both loops read the same draws in
+the same order, so each path is the same, epoch for epoch, whatever the
+batch width.
 
 All engines draw from counter-based generator streams keyed by
 ``(seed, engine, replica)``, so independent replicas are reproducible and
@@ -77,12 +79,17 @@ _POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
 # a thinning path raises up front when it passes DEFAULT_MAX_EVENTS with
 # probability above 1 - _BUDGET_CERTAIN
 _BUDGET_CERTAIN = 1e-12
-# Replica-batched thinning: a batch narrower than _LOCKSTEP_MIN draws in the
-# scalar loop, since below about 16 paths a lockstep step costs more than
-# their scalar proposals; a wider one advances in lockstep, in blocks of at
-# most _LOCKSTEP_BLOCK replicas, each run to its last path.  Blocks of 512
-# were fastest from 64 to 4096 and keep the (paths x Q) work arrays near
-# 4 MB at Q = 163.
+# Replica-batched thinning: a batch narrower than _LOCKSTEP_MIN (K) draws in
+# the scalar loop; a wider one advances in lockstep, in blocks of at most
+# _LOCKSTEP_BLOCK replicas, each run to its last path.  K lies between the
+# two engines' crossovers, measured on a 2-vCPU x86-64 host at alpha = 1/2,
+# gamma = 1, scalar against lockstep: at 16 paths thinning (beta = 1/2)
+# took 1.3 against 1.8 ms at horizon 10, 10.8 against 12.9 ms at 100 and
+# 116 against 120 ms at 1000, with lockstep ahead from about 20 paths at
+# horizons of 100 and more, while exp_hawkes took 13.1 against 9.3 ms at
+# horizon 100 and is ahead in lockstep from about 12.  Blocks of 512 were
+# fastest from 64 to 4096 and keep the (paths x Q) work arrays near 4 MB at
+# Q = 163.
 _LOCKSTEP_MIN, _LOCKSTEP_BLOCK = 16, 512
 # exp(x) rounds to 0.0 for every x below -745.14
 _EXP_ZERO = -746.0
@@ -314,13 +321,14 @@ def _envelope(rates, jumps, horizon: float):
 
 
 def _proposal_draws(rng: np.random.Generator):
-    """Endless proposal draws ``((step, env_step), u)``: a standard
+    """Endless proposal draws ``(step, env_step, u)``: a standard
     exponential to the next point of the constant part of the dominating
     rate, one to the next point of the envelope part, and the acceptance
     uniform, 64 at a time from ``rng``: a (64 x 2) array of standard
-    exponentials, then 64 uniforms."""
+    exponentials, then 64 uniforms, each iterated as lists."""
     while True:
-        yield from zip(rng.standard_exponential((64, 2)).tolist(), rng.random(64).tolist())
+        steps = rng.standard_exponential((64, 2))
+        yield from zip(steps[:, 0].tolist(), steps[:, 1].tolist(), rng.random(64).tolist())
 
 
 def _thin(lam0, rates, jumps, envelope, horizon, draws) -> np.ndarray:
@@ -335,43 +343,61 @@ def _thin(lam0, rates, jumps, envelope, horizon, draws) -> np.ndarray:
     to the intensity there.  A proposal is the earlier of the next points
     of Poisson(bound) and Poisson(E): the second inverts the envelope's
     cumulative ``cum`` with a bisect, from ``pos``, its value at the
-    current lag."""
+    current lag.
+
+    Every batch narrower than ``_LOCKSTEP_MIN`` (K = 16) paths runs here.
+    A proposal makes three numpy calls over the Q components (multiply,
+    exp and a BLAS ``ddot``) and an accepted one two more (the state
+    update); the rest is Python float arithmetic on locals.  At alpha = 1/2
+    and horizon 1000 (Q = 175 to 211) an event takes 3.6 to 3.8 us on a
+    2-vCPU x86-64 host, most of it in those numpy calls."""
     lags, levels, cum = (a.tolist() for a in envelope)
+    cum_end = cum[-1]
+    max_events = DEFAULT_MAX_EVENTS
+    # (-r) * lag is r * (-lag) bit for bit; a 0-d array holds the lag, since
+    # numpy converts a Python float operand anew on every call
+    neg_rates, held = -rates, np.empty(())
+    multiply, exp, add = np.multiply, np.exp, np.add
+    bisect = bisect_right
     t = last = pos = 0.0
     bound = lam0
     state = np.zeros_like(rates)
     decay = np.empty_like(rates)
+    dot = decay.dot
     epochs = []
-    for (step, env_step), u in draws:
+    append = epochs.append
+    for step, env_step, u in draws:
+        t += step / bound
         target = pos + env_step
-        t_env = math.inf
-        if target < cum[-1]:
-            i = bisect_right(cum, target) - 1
+        if target < cum_end:
+            i = bisect(cum, target) - 1
             t_env = last + (lags[i] + (target - cum[i]) / levels[i])
-        t = min(t + step / bound, t_env)
+            if t_env < t:
+                t = t_env
         if t > horizon:
             break
         lag = t - last
-        j = bisect_right(lags, lag) - 1
-        np.multiply(rates, -lag, out=decay)
-        np.exp(decay, out=decay)
-        lam = lam0 + float(decay.dot(state))
-        if u * (bound + levels[j]) > lam:
+        j = bisect(lags, lag) - 1
+        level = levels[j]
+        held[()] = lag
+        multiply(neg_rates, held, decay)
+        exp(decay, decay)
+        lam = lam0 + float(dot(state))
+        if u * (bound + level) > lam:
             bound = lam
-            pos = cum[j] + levels[j] * (lag - lags[j])
+            pos = cum[j] + level * (lag - lags[j])
             continue
         # a step below one ulp of t would repeat the last epoch
-        t = max(t, math.nextafter(last, math.inf))
-        if t > horizon:
-            break
-        state *= decay
-        state += jumps
+        if t <= last:
+            t = math.nextafter(last, math.inf)
+            if t > horizon:
+                break
+        multiply(state, decay, state)
+        add(state, jumps, state)
         last = t
-        epochs.append(t)
-        if len(epochs) > DEFAULT_MAX_EVENTS:
-            raise BudgetError(
-                f"thinning exceeded {DEFAULT_MAX_EVENTS} events by t={t:g}"
-            )
+        append(t)
+        if len(epochs) > max_events:
+            raise BudgetError(f"thinning exceeded {max_events} events by t={t:g}")
         bound, pos = lam, 0.0
     return np.array(epochs)
 
@@ -394,6 +420,7 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
         return [_thin(lam0, rates, jumps, envelope, horizon, _proposal_draws(rng))
                 for rng in rngs]
     lags, levels, cum = envelope
+    cum_end, neg_rates = cum[-1], -rates
     rows = np.arange(len(rngs))
     t, last, pos = np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size)
     bound = np.full(rows.size, lam0)
@@ -408,22 +435,22 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     when = np.empty(hit.size)
     fill = 0
     k = 0
+    n = rows.size
+    arg, decay, live = arg_buf, decay_buf, live_buf
     while rows.size:
         if k == uniforms.shape[1]:
             steps = np.array([rngs[r].standard_exponential((64, 2)) for r in rows])
             uniforms = np.array([rngs[r].random(64) for r in rows])
             k = 0
-        n = rows.size
         target = pos + steps[:, k, 1]
         i = cum.searchsorted(target, side="right") - 1
         env_lag = np.full(n, math.inf)
-        np.divide(target - cum[i], levels[i], out=env_lag, where=target < cum[-1])
+        np.divide(target - cum[i], levels[i], out=env_lag, where=target < cum_end)
         np.minimum(t + steps[:, k, 0] / bound, last + (lags[i] + env_lag), out=t)
         lag = t - last
         j = lags.searchsorted(lag, side="right") - 1
         level = levels[j]
-        arg, decay, live = arg_buf[:n], decay_buf[:n], live_buf[:n]
-        np.multiply.outer(-lag, rates, out=arg)
+        np.multiply.outer(lag, neg_rates, out=arg)
         # exp is slow where it underflows; below _EXP_ZERO it is 0.0 exactly
         np.greater(arg, _EXP_ZERO, out=live)
         decay.fill(0.0)
@@ -431,15 +458,17 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
         lam = lam0 + np.matmul(decay[:, None, :], state[:, :, None])[:, 0, 0]
         accept = uniforms[:, k] * (bound + level) <= lam
         k += 1
-        np.copyto(bound, lam, where=~accept)
-        np.copyto(pos, cum[j] + level * (lag - lags[j]), where=~accept)
+        reject = ~accept
+        np.copyto(bound, lam, where=reject)
+        np.copyto(pos, cum[j] + level * (lag - lags[j]), where=reject)
         # a step below one ulp of t would repeat the last epoch
         np.maximum(t, np.nextafter(last, math.inf), out=t, where=accept)
         done = t > horizon
         accept &= ~done
         if accept.any():
-            np.multiply(state, decay, out=state, where=accept[:, None])
-            np.add(state, jumps, out=state, where=accept[:, None])
+            mask = accept[:, None]
+            np.multiply(state, decay, out=state, where=mask)
+            np.add(state, jumps, out=state, where=mask)
             np.copyto(last, t, where=accept)
             np.copyto(bound, lam, where=accept)
             np.copyto(pos, 0.0, where=accept)
@@ -450,16 +479,20 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
             hit[fill:fill + new.size] = new
             when[fill:fill + new.size] = t[accept]
             fill += new.size
-            over = np.flatnonzero(events > DEFAULT_MAX_EVENTS)
-            if over.size:
-                raise BudgetError(
-                    f"thinning exceeded {DEFAULT_MAX_EVENTS} events by t={t[over[0]]:g}"
-                )
+            # no path passes the budget before its block does
+            if fill > DEFAULT_MAX_EVENTS:
+                over = np.flatnonzero(events > DEFAULT_MAX_EVENTS)
+                if over.size:
+                    raise BudgetError(
+                        f"thinning exceeded {DEFAULT_MAX_EVENTS} events by t={t[over[0]]:g}"
+                    )
         if done.any():
             keep = ~done
             rows, t, last, bound, pos, events, state, steps, uniforms = (
                 a[keep] for a in (rows, t, last, bound, pos, events, state, steps, uniforms)
             )
+            n = rows.size
+            arg, decay, live = arg_buf[:n], decay_buf[:n], live_buf[:n]
     hit = hit[:fill]
     when = when[np.argsort(hit, kind="stable")]
     ends = np.cumsum(np.bincount(hit, minlength=len(rngs))).tolist()
