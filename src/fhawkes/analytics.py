@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import rgamma
 
 from .errors import AccuracyError, DomainError
 from .laplace import LaplaceImage
@@ -30,6 +31,11 @@ __all__ = [
 
 _SQRT_PI = math.sqrt(math.pi)
 _TINY = np.finfo(float).tiny
+# Below x = _HALF_SMALL_X, expected_n_half sums (sqrt(pi)*(erfcx(x) - 1) +
+# 2*x) / (sqrt(pi)*x**2) = sum_m (-x)**m / Gamma(m/2 + 2), from erfcx's
+# Taylor series, to these 12 terms: the first one left out is below 1e-19
+_HALF_SMALL_X = 0.05
+_HALF_SERIES = rgamma(np.arange(12) / 2.0 + 2.0)
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,9 @@ def expected_n_half(t, p: ModelParams):
 
     ``lambda0*t/(1-alpha) - alpha*lambda0/((1-alpha)^3*gamma^2*sqrt(pi)) *
     (sqrt(pi)*erfcx(x) + 2*x - sqrt(pi))`` with ``x = (1-alpha)*gamma*sqrt(t)``.
+    Below ``x = 0.05``, where the bracket cancels, it is
+    ``lambda0*t/(1-alpha) * (1 - alpha*S(x))`` with ``S(x) = sum_m (-x)**m /
+    Gamma(m/2 + 2)``, the bracket over ``sqrt(pi)*x**2``.
     Raises AccuracyError if ``gamma**2`` is past the double range.
     """
     if p.beta != 0.5:
@@ -200,11 +209,17 @@ def expected_n_half(t, p: ModelParams):
         raise AccuracyError(f"gamma**2 overflows at gamma={p.gamma:g}") from None
     with np.errstate(over="ignore", invalid="ignore"):
         x = one_m * p.gamma * np.sqrt(t_arr)
-        bracket = _SQRT_PI * (erfcx(x) - 1.0) + 2.0 * x
-        res = (
-            p.lambda0 * t_arr / one_m
-            - p.alpha * p.lambda0 / (one_m ** 3 * gamma_sq * _SQRT_PI) * bracket
+        small = x < _HALF_SMALL_X
+        res = p.lambda0 * t_arr / one_m * (
+            1.0 - p.alpha * np.polynomial.polynomial.polyval(-x, _HALF_SERIES)
         )
+        # gamma**2 underflows to 0 only where every x is small
+        if not small.all():
+            bracket = _SQRT_PI * (erfcx(x) - 1.0) + 2.0 * x
+            res = np.where(small, res, (
+                p.lambda0 * t_arr / one_m
+                - p.alpha * p.lambda0 / (one_m ** 3 * gamma_sq * _SQRT_PI) * bracket
+            ))
     return _finite(res, t_arr, "expected count")
 
 

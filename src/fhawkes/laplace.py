@@ -298,10 +298,14 @@ def forward_lt(
         raise DomainError("singular_exponent must lie in (0, 1]")
     col = sv.reshape(-1, 1)
 
+    # a substitution that leaves the double range shows as a non-finite
+    # integrand, which _gk_quad reports
+    @np.errstate(over="ignore", invalid="ignore")
     def head(u):
         t = u ** (1.0 / p)
         return f(t) * np.exp(-col * t) * t ** (1.0 - p) / p
 
+    @np.errstate(over="ignore", invalid="ignore")
     def tail(u):
         t = u ** (-1.0 / p)
         # exp(log) keeps t**(1+p) * exp(-s*t) finite where t**(1+p) overflows

@@ -48,7 +48,9 @@ import numpy as np
 
 from .analytics import ModelParams
 from .errors import AccuracyError, BudgetError, DomainError
-from .special import Z_MAX, MLKernelParams, ml_density, ml_one, ml_sample, ml_spectral
+from .special import (
+    _LOG_MAX, Z_MAX, MLKernelParams, ml_density, ml_one, ml_sample, ml_spectral,
+)
 
 __all__ = [
     "EventSequence",
@@ -73,7 +75,6 @@ _RATE_MAX = 40.0 / _LAG_MIN
 # Composite Gauss-Legendre rule in log-rate: panel width and nodes.
 _PANEL = 1.5
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(6)
-_LOG_MAX = math.log(np.finfo(float).max)
 _INT64_MAX = np.iinfo(np.int64).max
 _POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
 # a thinning path raises up front when it passes DEFAULT_MAX_EVENTS with
@@ -246,10 +247,12 @@ def _exp_mixture(kernel: MLKernelParams, horizon: float):
     At ``beta = 1`` the surrogate is the kernel: rate and weight ``gamma``.
     Raises DomainError if ``gamma * horizon**beta`` exceeds ``Z_MAX``,
     checked first for every ``beta``; AccuracyError if ``s``, the rule's
-    top node ``_RATE_MAX / s``, or the mixing density at either end of the
-    rule would leave the double range (checked in logs, before any of them
-    is formed), or if the relative error on lags ``[_LAG_MIN, horizon]``,
-    or the mass lost on ``[0, horizon]``, exceeds ``_MIXTURE_RTOL``.
+    top node ``_RATE_MAX / s``, the pole's offset, or the mixing density at
+    either end of the rule would leave the double range (checked in logs,
+    before any of them is formed), if the kernel density is not positive on
+    a certification lag, or if the relative error on lags ``[_LAG_MIN,
+    horizon]``, or the mass lost on ``[0, horizon]``, exceeds
+    ``_MIXTURE_RTOL``.
     """
     beta, gamma = kernel.beta, kernel.gamma
     # below beta = 1, certification's ml_density guard at lag horizon, with
@@ -262,14 +265,15 @@ def _exp_mixture(kernel: MLKernelParams, horizon: float):
         return np.array([gamma]), np.array([gamma])
     # the rule's nodes theta = rate / s lie inside (u_lo, u_hi) in log(theta):
     # s and e**u_hi must be finite, as must ml_spectral's theta**(2*beta) and
-    # theta**(beta-1) at either end
+    # theta**(beta-1) at either end, and the pole's offset pi*(1/beta - 1)
     log_s = math.log(gamma) / beta
     u_hi = math.log(_RATE_MAX) - log_s
     u_lo = min(0.0, -log_s - math.log(horizon)) + math.log(1e-9) / (1.0 + beta)
-    if not max(log_s, u_hi, 2.0 * beta * u_hi, (beta - 1.0) * u_lo) < _LOG_MAX:
+    log_pole = math.log(math.pi) - math.log(beta)
+    if not max(log_s, u_hi, 2.0 * beta * u_hi, (beta - 1.0) * u_lo, log_pole) < _LOG_MAX:
         raise AccuracyError(
-            f"kernel rates s*theta with s = gamma**(1/beta) = exp({log_s:.6g}) leave "
-            f"the double range on (0, {horizon:g}]: beta={beta}, gamma={gamma}"
+            f"the kernel rule on rates s*theta, s = gamma**(1/beta) = exp({log_s:.6g}), "
+            f"leaves the double range on (0, {horizon:g}]: beta={beta}, gamma={gamma}"
         )
     s = gamma ** (1.0 / beta)
     pole = math.pi * (1.0 / beta - 1.0)
@@ -291,7 +295,8 @@ def _exp_mixture(kernel: MLKernelParams, horizon: float):
     lags = np.geomspace(min(_LAG_MIN, horizon), horizon, _CERT_LAGS)
     exact = ml_density(lags, kernel)
     approx = np.exp(-np.outer(lags, rates)) @ weights
-    rel = float(np.max(np.abs(approx - exact) / exact))
+    # a reference density that is not positive certifies nothing
+    rel = float(np.max(np.abs(approx - exact) / exact)) if exact.min() > 0.0 else math.inf
     kept = float(weights / rates @ -np.expm1(-rates * horizon))
     lost = abs(1.0 - ml_one(beta, -gamma * horizon**beta) - kept)
     if not (rel <= _MIXTURE_RTOL and lost <= _MIXTURE_RTOL):
@@ -402,6 +407,9 @@ def _thin(lam0, rates, jumps, envelope, horizon, draws) -> np.ndarray:
     return np.array(epochs)
 
 
+# a proposal past the horizon can overflow lag * rates before the step
+# retires its path (the scalar loop stops before that product)
+@np.errstate(over="ignore")
 def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     """Epochs on ``(0, horizon]``, one array per stream of ``rngs``, of the
     paths that :func:`_thin` draws from ``_proposal_draws(rng)``, draw for

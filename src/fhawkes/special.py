@@ -51,6 +51,7 @@ __all__ = [
 
 # Overflow guard on the argument magnitude accepted by `prabhakar`.
 Z_MAX = 1.0e8
+_LOG_MAX = math.log(np.finfo(float).max)
 
 # Accept a series evaluation only if the audited round-off, dominated by the
 # largest term, stays below this relative level.
@@ -97,10 +98,20 @@ class MLKernelParams:
 def erfcx(x):
     """Scaled complementary error function ``exp(x**2) * erfc(x)``.
 
-    Overflow-free for any representable ``x >= 0``; relative accuracy of a
-    few ulps (delegates to the Faddeeva implementation in SciPy).
+    Overflow-free for any representable ``x >= 0``, and 0 at ``+inf``;
+    relative accuracy of a few ulps (delegates to the Faddeeva
+    implementation in SciPy).  Raises :class:`DomainError` if an ``x`` is
+    NaN and :class:`AccuracyError` if a value is past the double range
+    (``x`` below about -26.6).
     """
-    return _erfcx_impl(x)
+    res = _erfcx_impl(x)
+    bad = ~np.isfinite(res)
+    if bad.any():
+        x_bad = np.asarray(x, dtype=float)[bad]
+        if np.isnan(x_bad).any():
+            raise DomainError("erfcx is undefined at NaN")
+        raise AccuracyError(f"erfcx({float(x_bad[0])!r}) is past the double range")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +134,35 @@ _SERIES_ALT = np.where(np.arange(1024) % 2 == 0, 1.0, -1.0)
 _SERIES_ROWS = 64
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _series_sum(a, b, c, z):
     """Truncated power series sum(Gamma(c+k) z^k / (Gamma(c) k! Gamma(ak+b)))
     for a 1-d array of nonzero ``z``.
 
-    Returns ``(values, accepted)``.  A row is accepted when its terms stay
-    finite, the series meets the stopping test within ``_SERIES_KMAX``
-    terms, and the round-off audit stays below ``_SERIES_RTOL``.  The audit
-    charges each term an evaluation error proportional to the magnitude of
-    its log, which is what dominates after exact (fsum) accumulation.
+    Returns ``(values, accepted)``.  Rows, one per argument, go through the
+    chunks of terms together, ``_SERIES_ROWS`` at a time; the coefficients
+    of a chunk are computed once, and only while some row still needs
+    that chunk.  After each chunk one set of array rules decides every
+    live row:
 
-    Rows go through the chunks together, ``_SERIES_ROWS`` at a time: the
-    row-independent coefficients of a chunk are computed once, and only
-    while some row still needs that chunk.  The stopping test needs the
-    exact partial sum only when the float sums of the terms and of their
-    magnitudes cannot decide it.  A converged row gets one exact sum and
-    the audit, unless ``6*eps*sum|t| / (|sum t| + K*eps*sum|t|)``, a lower
-    bound on its audit, already rejects it.  For ``c = 1`` and ``b >= a``
-    a negative-z row leaves at the first chunk whose largest term already
-    fails its audit against the bound ``1/Gamma(b)`` on the value.  Each
-    row's value, and whether it is accepted, is the same as when it is
-    summed alone.
+    * it is rejected when a term overflowed or, for ``c = 1`` and
+      ``b >= a`` at negative z, when its largest term already fails the
+      audit against the bound ``1/Gamma(b)`` on the value;
+    * it stops when its last three terms do not rise and the last is below
+      1e-17 of the chunk's largest term, or of its exact (fsum) partial
+      sum where the float sums of the terms and of their magnitudes cannot
+      decide that;
+    * a stopped row is finished when ``6*eps*sum|t| / (|sum t| +
+      K*eps*sum|t|)``, a lower bound on its audit, passes, and accepted
+      when its value is finite and nonzero and the audit itself stays below
+      ``_SERIES_RTOL``.  The audit charges each term an evaluation error
+      proportional to the magnitude of its log, which is what dominates
+      after exact accumulation.
+
+    A row that has not stopped within ``_SERIES_KMAX`` terms is rejected.
+    A rejected row keeps the value 0, or its exact sum where the audit
+    rejects it.  The only per-row work is ``math.fsum``, so each row's value,
+    and whether it is accepted, is the same as when it is summed alone.
     """
     lgc = gammaln(c)
     # E_{a,b}(-x) is completely monotone for b >= a (Schneider 1996), so at
@@ -157,93 +175,63 @@ def _series_sum(a, b, c, z):
     accepted = np.zeros(z.shape, dtype=bool)
     buf = np.empty((min(z.size, _SERIES_ROWS), _SERIES_KMAX))
     for start in range(0, z.size, _SERIES_ROWS):
-        zb = z[start : start + _SERIES_ROWS]
         # live rows sit at the top of buf; rows[i] is the index in z of row i
-        rows = list(range(start, start + zb.size))
+        rows = np.arange(start, min(start + _SERIES_ROWS, z.size))
         # math.log, not np.log: they differ by an ulp on some inputs, and
         # k*log|z| carries that into every term
-        logabsz = np.array([[math.log(abs(v))] for v in zb.tolist()])
-        neg = zb[:, None] < 0.0
+        logabsz = np.array([[math.log(abs(v))] for v in z[rows].tolist()])
+        neg = z[rows] < 0.0
         # float sums of the terms and of their magnitudes so far
-        tot = tot_abs = 0.0
+        tot = s = 0.0
         for j, (k0, k1) in enumerate(_SERIES_CHUNKS):
             ks = _SERIES_K[k0:k1]
             if j == len(coefs):
                 lg = gammaln(c + ks) - _SERIES_LOG_FACT[k0:k1]
                 coefs.append(lg - gammaln(a * ks + b) - lgc)
-            terms = buf[: len(rows), k0:k1]
+            terms = buf[: rows.size, k0:k1]
             np.multiply(ks, logabsz, out=terms)
             terms += coefs[j]
             np.exp(terms, out=terms)
-            peak = np.maximum.reduce(terms, axis=1).tolist()
-            tails = terms[:, -3:].tolist()
-            tot_abs = tot_abs + np.add.reduce(terms, axis=1)
-            np.multiply(terms, _SERIES_ALT[: k1 - k0], out=terms, where=neg)
+            peak = np.maximum.reduce(terms, axis=1)
+            last = terms[:, -1].copy()
+            flat = (terms[:, -2] <= terms[:, -3]) & (last <= terms[:, -2])
+            s = s + np.add.reduce(terms, axis=1)
+            np.multiply(terms, _SERIES_ALT[: k1 - k0], out=terms, where=neg[:, None])
             tot = tot + np.add.reduce(terms, axis=1)
-            gone, fin, exact = [], [], []
-            for i, (t3, t2, t1) in enumerate(tails):
-                # a term overflowed, or the audit screen rejects the row
-                if peak[i] == math.inf or (
-                    6.0 * _EPS * peak[i] * (1.0 - 1e-9) > screen and neg[i, 0]
-                ):
-                    gone.append(i)
-                    continue
-                # stopping test: the tail does not rise and its last term is
-                # below 1e-17 * max(|partial sum|, chunk peak)
-                if not (t2 <= t3 and t1 <= t2):
-                    continue
-                scale = max(peak[i], 1e-300)
-                s, t = float(tot_abs[i]), abs(float(tot[i]))
-                v = None
-                if not t1 < 1e-17 * scale:
-                    # |partial sum| <= hi decides the test without the exact
-                    # sum, unless a float sum overflowed and left hi NaN
-                    hi = (t + k1 * _EPS * s) * (1.0 + 1e-9)
-                    if not math.isnan(hi) and t1 >= 1e-17 * max(hi, scale):
-                        continue
-                    try:
-                        v = math.fsum(buf[i, :k1].tolist())
-                    except OverflowError:  # rejected in _series_finish
-                        v = math.inf
-                    if not t1 < 1e-17 * max(abs(v), scale):
-                        continue
-                gone.append(i)
-                # audit screen: 6*eps*s / (t + K*eps*s) bounds the audit below
-                if 6.0 * _EPS * s * (1.0 - 1e-9) <= _SERIES_RTOL * (t + k1 * _EPS * s):
-                    fin.append(i)
-                    exact.append(v)
-            if fin:
-                sel = slice(len(fin)) if len(fin) == len(rows) else fin
-                _series_finish(buf[sel, :k1], exact, [rows[i] for i in fin],
-                               values, accepted)
-            if len(gone) == len(rows):
+            t = np.abs(tot)
+            reject = (peak == math.inf) | (neg & (6.0 * _EPS * peak * (1.0 - 1e-9) > screen))
+            flat &= ~reject
+            small = last < 1e-17 * np.maximum(peak, 1e-300)
+            # |partial sum| <= hi decides the test without the exact sum,
+            # unless a float sum overflowed and left hi NaN.  A row that is
+            # not small has last >= 1e-17 * max(peak, 1e-300) already, so
+            # neither hi nor the exact sum needs that floor
+            hi = (t + k1 * _EPS * s) * (1.0 + 1e-9)
+            undecided = flat & ~small & ~(last >= 1e-17 * hi)
+            audit_ok = 6.0 * _EPS * s * (1.0 - 1e-9) <= _SERIES_RTOL * (t + k1 * _EPS * s)
+            exact = np.full(rows.size, math.nan)
+            for i in np.flatnonzero(undecided | flat & small & audit_ok).tolist():
+                try:
+                    exact[i] = math.fsum(buf[i, :k1].tolist())
+                except OverflowError:  # not finite, so never accepted
+                    exact[i] = math.inf
+            stop = flat & (small | (last < 1e-17 * np.abs(exact)))
+            fin = stop & audit_ok
+            if fin.any():
+                work = np.abs(buf[fin.nonzero()[0], :k1])
+                # per-term relative error ~ eps * (|log term| + gamma-log magnitudes)
+                lg_mag = np.abs(np.log(np.maximum(work, 1e-300)))
+                err = np.add.reduce(work * _EPS * (lg_mag + 6.0), axis=1)
+                v = np.abs(exact[fin])
+                values[rows[fin]] = exact[fin]
+                accepted[rows[fin]] = (0.0 < v) & (v < math.inf) & (err / v <= _SERIES_RTOL)
+            keep = ~(reject | stop)
+            if not keep.any():
                 break
-            if gone:
-                keep = sorted(set(range(len(rows))).difference(gone))
-                buf[: len(keep), :k1] = buf[keep, :k1]
-                rows = [rows[i] for i in keep]
-                logabsz, neg, tot, tot_abs = (
-                    logabsz[keep], neg[keep], tot[keep], tot_abs[keep]
-                )
+            if not keep.all():
+                buf[: np.count_nonzero(keep), :k1] = buf[keep.nonzero()[0], :k1]
+                rows, logabsz, neg, tot, s = (x[keep] for x in (rows, logabsz, neg, tot, s))
     return values, accepted
-
-
-def _series_finish(terms, exact, rows, values, accepted):
-    """Exact sums and round-off audits of converged rows, written to
-    ``values`` and ``accepted`` at ``rows``; ``exact`` holds each row's sum
-    when already taken, else ``None``.  A row whose sum overflows is
-    rejected."""
-    work = np.abs(terms)
-    # per-term relative error ~ eps * (|log term| + gamma-log magnitudes)
-    lg_mag = np.abs(np.log(np.maximum(work, 1e-300)))
-    err = np.add.reduce(work * _EPS * (lg_mag + 6.0), axis=1).tolist()
-    for i, r in enumerate(rows):
-        try:
-            v = math.fsum(terms[i].tolist()) if exact[i] is None else exact[i]
-        except OverflowError:
-            v = math.inf
-        values[r] = v
-        accepted[r] = 0.0 < abs(v) < math.inf and err[i] / abs(v) <= _SERIES_RTOL
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -253,6 +241,7 @@ _XI_LADDER = np.array(
 _HEAD_M = np.arange(48, dtype=float)
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _spectral(a, x, moment):
     """E_{a,1}(-x) (``moment=0``) or E_{a,a}(-x) (``moment=1``) for x > 0 via
     the completely monotone mixture integral
@@ -260,7 +249,8 @@ def _spectral(a, x, moment):
     ``D(u) = u**2 + 2*u*cos(a*pi) + 1`` is the reciprocal denominator of the
     mixing density, written in the exponent variable.  The leading behavior,
     1/(x*Gamma(1-a)) or a multiple of x**-2, is factored analytically, so no
-    overflow.
+    overflow.  A value that still leaves the double range comes back
+    non-finite, with no warning.
 
     The head panel ``[0, xi_1]``, where the fractional power ``xi**a`` inside
     ``D`` defeats polynomial quadrature, is integrated exactly: ``1/D`` is a
@@ -282,8 +272,7 @@ def _spectral(a, x, moment):
     cheb = np.sin((_HEAD_M + 1.0) * psi) / spsi
     svals = a * (_HEAD_M + 1.0) + moment
     glow = gammainc(svals, xi1) * _gamma_fn(svals)
-    with np.errstate(under="ignore"):
-        head = (cheb * glow)[None, :] * x[:, None] ** (-_HEAD_M)[None, :]
+    head = (cheb * glow)[None, :] * x[:, None] ** (-_HEAD_M)[None, :]
     first = np.sum(head, axis=1)
 
     # remaining panels: octave ladder plus mapped near-pole knots, at
@@ -292,8 +281,7 @@ def _spectral(a, x, moment):
     ks = np.arange(-1.0, math.floor(max(math.log2(2.0 / spsi), 5.0)) + 1.0)
     offsets = np.concatenate([[0.0], 2.0 ** ks, -(2.0 ** ks)])
     spike_u = np.clip(cpsi + spsi * offsets, 0.0, None)
-    with np.errstate(over="ignore"):
-        spike_xi = (spike_u[None, :] * x[:, None]) ** (1.0 / a)
+    spike_xi = (spike_u[None, :] * x[:, None]) ** (1.0 / a)
     spike_xi = np.clip(spike_xi, xi1, _XI_LADDER[-1])
     knots = np.concatenate(
         [np.broadcast_to(_XI_LADDER, (x.size, _XI_LADDER.size)), spike_xi], axis=1
@@ -322,12 +310,14 @@ _CT_S = _CT_MU * (1.0 + 1j * _CT_U) ** 2
 _CT_W = (_CT_H * _CT_MU / math.pi) * np.exp(_CT_S) * (1.0 + 1j * _CT_U)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _contour_sum(a, b, c, z):
     """E_{a,b}^c(z) for z < 0 by inverting s^(ac-b) / (s^a - z)^c on a
     parabolic contour at unit time.
 
     Returns ``(values, rel_cond)`` where the conditioning estimate bounds the
-    round-off amplification of the oscillatory sum.
+    round-off amplification of the oscillatory sum.  An integrand that
+    leaves the double range gives a non-finite value, with no warning.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     s = _CT_S[None, :]
@@ -335,28 +325,21 @@ def _contour_sum(a, b, c, z):
     contrib = _CT_W[None, :] * fs
     vals = 2.0 * np.sum(contrib.real, axis=1)
     spread = 2.0 * np.sum(np.abs(contrib), axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = 2.0 * _EPS * spread / np.abs(vals)
+    cond = 2.0 * _EPS * spread / np.abs(vals)
     cond = np.where(vals == 0.0, np.inf, cond)
     return vals, cond
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _closed_form_a1(b, c, z):
-    """E_{1,b}^c(z) via the confluent hypergeometric function; raises
-    AccuracyError at the first argument whose value is past the double
-    range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if b == 1.0 and c == 1.0:
-            res = np.exp(z)
-        elif b == 2.0 and c == 1.0:
-            safe = np.where(z == 0.0, 1.0, z)
-            res = np.where(z == 0.0, 1.0, np.expm1(z) / safe)
-        else:
-            res = hyp1f1(c, b, z) * rgamma(b)
-    bad = ~np.isfinite(res)
-    if bad.any():
-        raise AccuracyError(f"E_{{1,{b}}}^{c}({z[bad][0]}) is past the double range")
-    return res
+    """E_{1,b}^c(z) via the confluent hypergeometric function; a value past
+    the double range comes back non-finite, with no warning."""
+    if b == 1.0 and c == 1.0:
+        return np.exp(z)
+    if b == 2.0 and c == 1.0:
+        safe = np.where(z == 0.0, 1.0, z)
+        return np.where(z == 0.0, 1.0, np.expm1(z) / safe)
+    return hyp1f1(c, b, z) * rgamma(b)
 
 
 # Arguments per call of the large-argument regimes.  A spectral argument
@@ -460,7 +443,8 @@ def prabhakar(a, b, c, z):
         ``|z| > Z_MAX``.
     AccuracyError
         If no regime certifies the accuracy target, two regimes disagree
-        at a hand-off boundary, or a value is past the double range.
+        at a hand-off boundary, or a value is not finite: past the double
+        range, or lost to overflow inside the regime that serves it.
     """
     if not 0.0 < a <= 1.0:
         raise DomainError(f"order a must be in (0, 1], got {a}")
@@ -479,6 +463,12 @@ def prabhakar(a, b, c, z):
         res = _closed_form_a1(b, c, flat)
     else:
         res = _eval_batch(a, b, c, flat)
+    bad = ~np.isfinite(res)
+    if bad.any():
+        raise AccuracyError(
+            f"E_{{{a},{b}}}^{c}({flat[bad][0]}) is past the double range: the "
+            f"regime serving it returned {res[bad][0]}"
+        )
     return float(res[0]) if scalar else res.reshape(z_arr.shape)
 
 
@@ -566,9 +556,17 @@ def ml_sample(rng, k: MLKernelParams, size=None):
     ------
     DomainError
         If ``size`` has a negative entry.
+    AccuracyError
+        If the scale ``gamma**(-1/beta)`` is past the double range (checked
+        in logs, before it is formed).
     """
     if size is not None and not (np.asarray(size) >= 0).all():
         raise DomainError(f"size must be nonnegative, got {size}")
+    if not -math.log(k.gamma) / k.beta < _LOG_MAX:
+        raise AccuracyError(
+            f"the time scale gamma**(-1/beta) is past the double range: "
+            f"beta={k.beta}, gamma={k.gamma}"
+        )
     u = rng.uniform(np.nextafter(0.0, 1.0), 1.0, size)
     x = rng.standard_exponential(size)
     A = math.pi * k.beta

@@ -217,6 +217,23 @@ class TestExpectedN:
             scale = np.maximum(np.abs(a), 1e-12)
             assert np.max(np.abs(a - b) / scale) < 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_half_form_at_small_x(self, alpha):
+        # the erfcx bracket cancels as x = (1-alpha)*gamma*sqrt(t) goes to 0,
+        # and gamma**2 underflows to 0 below gamma ~ 1e-162
+        x = np.geomspace(1e-9, 1e-2, 15)
+        for g in (1.0, 1e-6):
+            p = ModelParams(1.0, alpha, 0.5, g)
+            t = (x / ((1.0 - alpha) * g)) ** 2
+            np.testing.assert_allclose(
+                expected_n_half(t, p), expected_n(t, p), rtol=1e-12, atol=0.0
+            )
+        p = ModelParams(1.0, alpha, 0.5, 1e-200)
+        t = np.array([1e-3, 3.0, 1e300])
+        np.testing.assert_allclose(
+            expected_n_half(t, p), expected_n(t, p), rtol=1e-12, atol=0.0
+        )
+
     @pytest.mark.parametrize("beta", [0.5, 0.9])
     @pytest.mark.parametrize("gamma", [0.1, 0.8, 1.7])
     def test_integral_of_intensity(self, beta, gamma):

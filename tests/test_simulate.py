@@ -18,6 +18,7 @@ from fhawkes import (
     FHawkesError,
     MLKernelParams,
     ModelParams,
+    QuadratureError,
     expected_n,
     intensity,
     ml_density,
@@ -28,6 +29,7 @@ from fhawkes import (
 )
 from fhawkes import simulate
 from fhawkes.harness import count_matrix
+from fhawkes.laplace import forward_lt
 from fhawkes.simulate import _exp_mixture, _stream, _stream_keys
 from fhawkes.special import Z_MAX
 
@@ -636,6 +638,35 @@ class TestKernelRange:
     def test_tiny_beta_within_the_double_range(self):
         paths = sample_paths(ModelParams(1e-12, 0.5, 0.02, 1e6), 1e5, 0, [0])
         assert len(paths) == 1
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            # the pole's offset pi*(1/beta - 1) overflows
+            (lambda: count_matrix(ModelParams(1.0, 0.5, 5e-324, 1.0), [1.0, 2.0], 3, 1),
+             AccuracyError, "double range"),
+            # the sampler's scale gamma**(-1/beta) overflows
+            (lambda: simulate_cluster(ModelParams(1.0, 0.5, 0.5, 1e-300), 10.0, 0),
+             AccuracyError, r"gamma\*\*\(-1/beta\)"),
+            # t = u**(-1/p) overflows in the forward transform's tail
+            (lambda: forward_lt(lambda t: np.exp(-t), 1.0, singular_exponent=1e-12),
+             QuadratureError, "not finite"),
+            # the kernel density is negative at a certification lag
+            (lambda: count_matrix(ModelParams(1.0, 0.5, 1e-12, 1.0), [1.0, 2.0], 3, 1),
+             AccuracyError, "relative error inf"),
+        ],
+        ids=["pole", "sampler-scale", "forward-transform", "negative-reference"],
+    )
+    def test_corner_raises_its_error(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    @pytest.mark.parametrize("replicas", [3, 20])
+    def test_lockstep_proposal_past_the_horizon_is_quiet(self, replicas):
+        # lambda0 = 1e-300 sends the first proposal to ~1e300, whose lag
+        # times the rates overflows in the lockstep step (20 paths)
+        counts = count_matrix(ModelParams(1e-300, 0.5, 0.5, 1.0), [1.0, 2.0], replicas, 1)
+        np.testing.assert_array_equal(counts, np.zeros((replicas, 2)))
 
 
 class TestEpochs:

@@ -105,6 +105,35 @@ class TestPrabhakar:
             with pytest.raises(AccuracyError, match=r"\((1000|800)\.0\) is past"):
                 fn(*args)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_value_is_accuracy_error(self):
+        # the contour's integrand overflows at large c, and the spectral
+        # rule breaks down at a subnormal order; neither returns NaN
+        calls = [(prabhakar, (0.5, 1.0, 1000.0, -1.0)),
+                 (prabhakar, (0.5, 1.0, 250.0, np.array([-1.0, -45.0]))),
+                 (prabhakar, (0.9, 2.0, 300.0, -100.0)),
+                 (ml_one, (5e-324, -1.0))]
+        for fn, args in calls:
+            with pytest.raises(AccuracyError, match=r"\((-1|-45|-100)\.0\) is past"):
+                fn(*args)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="the spectral head series fails at small order")
+    def test_small_order(self):
+        # known fault: _spectral's 48-term head series converges like
+        # ((1/64)**a / x)**m, a ratio that tends to 1/x as a -> 0.  The
+        # references are E_a(-x) = sin(a*pi)/(a*pi) * int_0^inf
+        # exp(-w**(1/a)) * x / (w**2 + 2*x*w*cos(a*pi) + x**2) dw at 30
+        # digits, E_{a,a}(-x) = -a * d/dx E_a(-x), and E_a(-1) -> 1/2 as
+        # a -> 0; the same formula matches the library to 1e-14 at (a, x) =
+        # (0.3, 1.1), (0.5, 3) and (0.9, 1.05)
+        cases = [((0.001, 1.0, 1.0, -1.0), 0.4998556960785243),
+                 ((0.05, 1.0, 1.0, -1.1), 0.46897149368359997),
+                 ((0.05, 0.05, 1.0, -1.05), 0.011899051119729366),  # kernel shape
+                 ((1e-300, 1.0, 1.0, -1.0), 0.5)]
+        got = [prabhakar(*args) for args, _ in cases]
+        assert got == pytest.approx([ref for _, ref in cases], rel=1e-10)
+
     def test_vectorized_matches_scalar(self):
         z = np.array([-0.5, -8.0, -300.0, 0.0, 1.5])
         vec = prabhakar(0.7, 1.0, 1.0, z)
@@ -160,7 +189,93 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+# (shape, z, value, accepted) of `_series_sum`, one argument per way a row
+# leaves the series; a rejected row keeps 0.0 unless its exact sum was taken
+_SERIES_BRANCHES = [
+    ((0.5, 1.0, 1.0), -36.1457874785369, 0.0, False),  # screened out, chunk 0
+    ((0.5, 1.0, 1.0), 3.0320264676244335, 19659.631771999168, True),  # stops, chunk 0
+    # float sums undecided; stops in chunk 1
+    ((0.5, 1.0, 1.0), 3.8057123644885706, 3900415.8942601685, True),
+    ((0.5, 1.0, 1.0), 3.1624686967730256, 44106.02050054745, True),  # exact sum in loop
+    ((0.5, 1.0, 1.0), -2.569614289028456, 0.20574893697218924, False),  # audit rejects
+    ((0.5, 1.0, 1.0), -2.655090657655947, 0.0, False),  # audit's lower bound rejects
+    ((0.5, 1.0, 1.0), 40.64139279062883, 0.0, False),  # a term overflows
+    ((0.05, 1.0, 1.0), 1.4329871577202198, 0.0, False),  # term budget spent
+    ((0.05, 1.0, 1.0), 1.262134852369094, 9.983267518727994e46, True),  # exact sum, chunk 6
+]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _series_row(a, b, c, z):
+    """Reference for `_series_sum`: ``(value, accepted)`` at one nonzero
+    ``z``, summed alone with the same float operations, each rule decided
+    on Python scalars after each chunk."""
+    eps, rtol = special._EPS, special._SERIES_RTOL
+    screen = math.inf
+    if c == 1.0 and b >= a and special.rgamma(b) >= np.finfo(float).tiny:
+        screen = rtol * (1.0 + 1e-9) * special.rgamma(b)
+    terms = np.empty(special._SERIES_KMAX)
+    tot = s = 0.0
+    for k0, k1 in special._SERIES_CHUNKS:
+        ks = special._SERIES_K[k0:k1]
+        chunk = terms[k0:k1]
+        np.multiply(ks, math.log(abs(z)), out=chunk)
+        chunk += (special.gammaln(c + ks) - special._SERIES_LOG_FACT[k0:k1]
+                  - special.gammaln(a * ks + b) - special.gammaln(c))
+        np.exp(chunk, out=chunk)
+        peak, (t3, t2, t1) = float(chunk.max()), chunk[-3:].tolist()
+        s += float(np.add.reduce(chunk))
+        if z < 0.0:
+            chunk *= special._SERIES_ALT[: k1 - k0]
+        tot += float(np.add.reduce(chunk))
+        if peak == math.inf or (z < 0.0 and 6.0 * eps * peak * (1.0 - 1e-9) > screen):
+            return 0.0, False
+        if not (t2 <= t3 and t1 <= t2):
+            continue
+        scale, t, v = max(peak, 1e-300), abs(tot), None
+        if not t1 < 1e-17 * scale:
+            hi = (t + k1 * eps * s) * (1.0 + 1e-9)
+            if not math.isnan(hi) and t1 >= 1e-17 * max(hi, scale):
+                continue
+            try:
+                v = math.fsum(terms[:k1].tolist())
+            except OverflowError:
+                v = math.inf
+            if not t1 < 1e-17 * max(abs(v), scale):
+                continue
+        if not 6.0 * eps * s * (1.0 - 1e-9) <= rtol * (t + k1 * eps * s):
+            return 0.0, False
+        work = np.abs(terms[:k1])
+        lg_mag = np.abs(np.log(np.maximum(work, 1e-300)))
+        err = float(np.add.reduce(work * eps * (lg_mag + 6.0)))
+        if v is None:
+            try:
+                v = math.fsum(terms[:k1].tolist())
+            except OverflowError:
+                v = math.inf
+        return v, 0.0 < abs(v) < math.inf and err / abs(v) <= rtol
+    return 0.0, False
+
+
 class TestBatchedSeries:
+    @pytest.mark.parametrize("shape, z, value, accepted", _SERIES_BRANCHES)
+    def test_series_branch_bits(self, shape, z, value, accepted):
+        got, ok = special._series_sum(*shape, np.array([z]))
+        ref, ref_ok = _series_row(*shape, z)
+        assert (_bits(got[0]), ok[0]) == (_bits(value), accepted) == (_bits(ref), ref_ok)
+
+    @pytest.mark.parametrize("shape", _SHAPES + [(0.05, 1.0, 1.0), (0.05, 0.05, 1.0),
+                                                 (0.99, 1.0, 1.0), (0.4, 2.5, 4.0)])
+    def test_series_matches_row_reference(self, shape):
+        # 180 rows: three blocks of _SERIES_ROWS, summed together
+        rng = np.random.default_rng(11)
+        z = np.concatenate([rng.uniform(-40.0, 60.0, 150), -np.geomspace(1e-6, 40.0, 15),
+                            np.geomspace(1e-6, 60.0, 15)])
+        got, ok = special._series_sum(*shape, z)
+        ref = [_series_row(*shape, float(zi)) for zi in z]
+        np.testing.assert_array_equal(_bits(got), _bits([v for v, _ in ref]))
+        np.testing.assert_array_equal(ok, [acc for _, acc in ref])
+
     @pytest.mark.parametrize("shape", _SHAPES)
     def test_batch_is_elementwise(self, shape):
         batch = prabhakar(*shape, _MIXED_Z)
@@ -429,6 +544,19 @@ class TestErfcx:
 
     def test_no_overflow(self):
         assert np.isfinite(erfcx(1e150))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_outside_its_domain_and_range(self):
+        # exp(x**2) * erfc(x) ~ 2*exp(x**2) passes the double range just
+        # below x = -26.6; +inf gives the limit 0
+        assert np.isfinite(erfcx(-26.6))
+        assert erfcx(math.inf) == 0.0
+        for x in (math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(DomainError, match="NaN"):
+                erfcx(x)
+        for x in (-26.7, np.array([1.0, -30.0]), -math.inf):
+            with pytest.raises(AccuracyError, match="past the double range"):
+                erfcx(x)
 
     def test_identity_with_ml(self):
         x = np.linspace(0.0, 100.0, 201)
