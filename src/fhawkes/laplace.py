@@ -72,65 +72,20 @@ class LaplaceImage:
         return self.fn(s)
 
 
-def _invert(image, t):
-    """Values and node-doubling error estimates at one time ``t > 0``, of
-    shape ``()`` for one image and ``(m,)`` for a family: the image is
-    evaluated once, on the one node set of ``t``."""
-    offset = image.sigma0 + _DECAY / (2.0 * t)
-    # a finite scale keeps the nodes, which grow like 300/t, finite too
-    scale = math.exp(offset * t) / t
-    if not math.isfinite(scale):
-        raise ContourError(f"contour scale overflows at t={t!r}")
-    nodes = np.empty(_K_MID.size, dtype=complex)
-    nodes.real = offset
-    nodes.imag = _K_MID * (math.pi / t)
-    # an overflow or a zero division inside the image shows as a non-finite
-    # value, which the check below reports
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = np.asarray(image(nodes))
-    if not np.isfinite(vals).all():
-        raise ContourError(
-            f"image evaluated non-finite on the contour at t={t!r}"
-        )
-    # midpoint nodes make exp(i*omega*t) = i*(-1)^(k-1): alternating series
-    csum = np.cumsum(vals.imag * _SIGN, axis=-1)
-    # Euler averaging of the last _EULER_TERMS + 1 partial sums ending at
-    # index n + _EULER_TERMS, for n = _N_TERMS and its half; each row goes
-    # through the 1-d dot product, whose bits a stacked (BLAS dgemv)
-    # product would not keep
-    values, errors = [], []
-    for j, row in enumerate(csum.reshape(-1, csum.shape[-1])):
-        full = scale * float(_EULER_WEIGHTS @ row[_N_TERMS - 1 :])
-        half = scale * float(_EULER_WEIGHTS @ row[_HALF])
-        est = abs(full - half)
-        if not math.isfinite(est):
-            raise ContourError(f"inversion overflows at t={t!r}")
-        rel = est / max(abs(full), 1e-300)
-        if rel > 10.0 * _TARGET_TOL:
-            where = f" in row {j}" if vals.ndim > 1 else ""
-            warnings.warn(
-                f"node doubling moved ilt(t={t:g}){where} by {rel:.2e} relative",
-                ConvergenceWarning,
-                stacklevel=3,
-            )
-        values.append(full)
-        errors.append(est)
-    lead = vals.shape[:-1]
-    return np.reshape(values, lead), np.reshape(errors, lead)
-
-
 def ilt_grid(image: LaplaceImage, ts):
     """Invert at every time of ``ts``, a scalar or an array; returns
     ``(values, error_estimates)``, of shape ``ts.shape`` for one image and
     ``(m,) + ts.shape`` for a family of ``m`` images.
 
-    Each time builds one contour, on which the image is called once: a
-    family shares the nodes, and each of its rows gets the bits that
-    inverting that image alone gives.  The error estimate comes from
+    Each time builds one contour of 96 nodes, on which the image is called
+    once: a family shares the nodes, and each of its rows gets the bits
+    that inverting that image alone gives.  The error estimate comes from
     halving the 64-term node count, and a :class:`ConvergenceWarning` is
-    emitted when doubling moves a value by more than 1e-5 (relative).  An
-    empty ``ts`` calls the image once on no nodes, which tells the family
-    size.
+    emitted when doubling moves a value by more than 1e-5 (relative).  The
+    two outputs are allocated once and filled time by time, so the memory
+    that grows with ``ts`` is their 16 bytes per time and image; the rest
+    is one contour's worth.  An empty ``ts`` calls the image once on no
+    nodes, which tells the family size.
 
     Raises
     ------
@@ -140,7 +95,7 @@ def ilt_grid(image: LaplaceImage, ts):
     ContourError
         If the image, any row of a family included, evaluates non-finite
         on a contour node, or the inversion overflows (t below about
-        1e-304).
+        1e-304, or ``sigma0 * t`` past about 700).
     """
     ts = np.asarray(ts, dtype=float)
     if not ((ts > 0.0) & (ts < math.inf)).all():
@@ -148,14 +103,58 @@ def ilt_grid(image: LaplaceImage, ts):
     if ts.size == 0:
         lead = np.shape(image(np.empty(0, dtype=complex)))[:-1]
         return np.empty(lead + ts.shape), np.empty(lead + ts.shape)
-    # a plain loop: before Python 3.12 a comprehension is a frame of its own,
-    # and the warning's stacklevel would name it instead of the caller
-    pairs = []
-    for t in ts.ravel().tolist():
-        pairs.append(_invert(image, t))
-    shape = pairs[0][0].shape + ts.shape
-    values = np.stack([v for v, _ in pairs], axis=-1).reshape(shape)
-    errors = np.stack([e for _, e in pairs], axis=-1).reshape(shape)
+    values = errors = None
+    # an overflow or a zero division inside the image, the cumsum or the
+    # Euler sums shows as a non-finite value, which the checks report.  A
+    # plain loop: before Python 3.12 a comprehension is a frame of its own,
+    # and the warning's stacklevel would name it instead of the caller.
+    # The times come from ts.flat, not a list, so none is held as an object
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i, t in enumerate(map(float, ts.flat)):
+            offset = image.sigma0 + _DECAY / (2.0 * t)
+            # a finite scale keeps the nodes, which grow like 300/t, finite
+            try:
+                scale = math.exp(offset * t) / t
+            except OverflowError:
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise ContourError(f"contour scale overflows at t={t!r}")
+            nodes = np.empty(_K_MID.size, dtype=complex)
+            nodes.real = offset
+            nodes.imag = _K_MID * (math.pi / t)
+            vals = np.asarray(image(nodes))
+            if not np.isfinite(vals).all():
+                raise ContourError(
+                    f"image evaluated non-finite on the contour at t={t!r}"
+                )
+            if values is None:
+                shape = vals.shape[:-1] + ts.shape
+                values, errors = np.empty(shape), np.empty(shape)
+                rows_v = values.reshape(-1, ts.size)
+                rows_e = errors.reshape(-1, ts.size)
+            # midpoint nodes make exp(i*omega*t) = i*(-1)^(k-1): an
+            # alternating series
+            csum = (vals.imag * _SIGN).cumsum(axis=-1)
+            # Euler averaging of the last _EULER_TERMS + 1 partial sums
+            # ending at index n + _EULER_TERMS, for n = _N_TERMS and its
+            # half; each row goes through the 1-d dot product, whose bits a
+            # stacked (BLAS dgemv) product would not keep
+            for j, row in enumerate(csum.reshape(-1, csum.shape[-1])):
+                full = scale * float(_EULER_WEIGHTS.dot(row[_N_TERMS - 1 :]))
+                half = scale * float(_EULER_WEIGHTS.dot(row[_HALF]))
+                est = abs(full - half)
+                if not math.isfinite(est):
+                    raise ContourError(f"inversion overflows at t={t!r}")
+                rel = est / max(abs(full), 1e-300)
+                if rel > 10.0 * _TARGET_TOL:
+                    where = f" in row {j}" if vals.ndim > 1 else ""
+                    warnings.warn(
+                        f"node doubling moved ilt(t={t:g}){where} by {rel:.2e} relative",
+                        ConvergenceWarning,
+                        stacklevel=2,
+                    )
+                rows_v[j, i] = full
+                rows_e[j, i] = est
     return values, errors
 
 

@@ -550,7 +550,9 @@ def ml_sample(rng, k: MLKernelParams, size=None):
     cos(beta*pi))**(1/beta)`` with ``X`` standard exponential and ``U``
     uniform; the mixture factor is evaluated in the equivalent stable form
     ``sin(beta*pi*(1-U)) / sin(beta*pi*U)``.  Degenerates to
-    ``Exponential(gamma)`` at ``beta = 1``.
+    ``Exponential(gamma)`` at ``beta = 1``.  A variate past the double
+    range is ``inf``, a lag past any horizon; a product that would be
+    ``inf * 0`` gets its value from logs.
 
     Raises
     ------
@@ -570,5 +572,13 @@ def ml_sample(rng, k: MLKernelParams, size=None):
     u = rng.uniform(np.nextafter(0.0, 1.0), 1.0, size)
     x = rng.standard_exponential(size)
     A = math.pi * k.beta
-    mix = np.sin(A * (1.0 - u)) / np.sin(A * u)
-    return k.gamma ** (-1.0 / k.beta) * x * mix ** (1.0 / k.beta)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mix = np.sin(A * (1.0 - u)) / np.sin(A * u)
+        lag = k.gamma ** (-1.0 / k.beta) * x * mix ** (1.0 / k.beta)
+        bad = ~np.isfinite(lag)
+        if bad.any():
+            # a lag past the double range, or an inf * 0 product: the same
+            # product in logs, which exp takes to inf or to its finite value
+            log_lag = (np.log(mix) - math.log(k.gamma)) / k.beta + np.log(x)
+            lag = np.where(bad, np.exp(log_lag), lag)[()]
+    return lag

@@ -3,6 +3,7 @@ round trips, linearity, warnings/errors, and the forward transform."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -154,6 +155,33 @@ class TestIlt:
 
         with pytest.raises(ContourError):
             ilt_grid(LaplaceImage(bad_fn), 1.0)
+
+    def test_overflowing_sums_are_contour_errors(self):
+        # a finite image whose alternating partial sums pass the double
+        # range, and a contour scale exp(sigma0*t) past it: ContourError,
+        # and no RuntimeWarning or OverflowError on the way
+        wild = LaplaceImage(lambda s: 1e308j * np.resize([-1.0, 1.0], s.size))
+        growing = LaplaceImage(GROWING_PAIR[0], GROWING_PAIR[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ContourError, match=r"inversion overflows at t=1\.0"):
+                ilt_grid(wild, 1.0)
+            with pytest.raises(ContourError, match=r"contour scale overflows at t=1000\.0"):
+                ilt_grid(growing, [1.0, 1000.0])
+
+    def test_memory_per_time_is_the_output(self):
+        # the two outputs take 16 bytes per time; everything else is one
+        # contour's worth, whatever the number of times
+        image = lambda_image(ModelParams(1.0, 0.1, 0.5, 0.8))
+        ts = np.linspace(0.2, 1e5, 5000)
+        ilt_grid(image, ts[:2])
+        tracemalloc.start()
+        try:
+            ilt_grid(image, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * ts.size
 
     @pytest.mark.parametrize("t", [1e-300, 1e-303, 1e-305, 1e-307])
     def test_tiny_times(self, t):

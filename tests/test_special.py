@@ -10,6 +10,7 @@ branch-cut route is checked live against its series.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -599,3 +600,36 @@ class TestSampling:
         for size in (-1, (2, -3)):
             with pytest.raises(DomainError):
                 ml_sample(rng, k, size)
+
+    @pytest.mark.parametrize(
+        "beta, gamma", [(0.01, 1.0), (0.5, 1e-150), (0.01, 2000.0)]
+    )
+    def test_variates_past_the_double_range(self, beta, gamma):
+        # (0.01, 1) and (0.5, 1e-150) draw lags past the double range, which
+        # come out inf; at (0.01, 2000) the scale underflows to 0 where the
+        # mixture factor overflows, an inf * 0 product that has a finite value
+        keys = _stream_keys(16, "cluster", [0])[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            draws = ml_sample(_stream(keys), MLKernelParams(beta, gamma), 100_000)
+        assert not np.isnan(draws).any() and (draws >= 0.0).all()
+        assert np.isinf(draws).any() == (gamma != 2000.0)
+        # every finite product keeps its bits
+        rng = _stream(keys)
+        u = rng.uniform(np.nextafter(0.0, 1.0), 1.0, draws.size)
+        x = rng.standard_exponential(draws.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mix = np.sin(math.pi * beta * (1.0 - u)) / np.sin(math.pi * beta * u)
+            plain = gamma ** (-1.0 / beta) * x * mix ** (1.0 / beta)
+        finite = np.isfinite(plain)
+        assert not finite.all()
+        assert np.array_equal(draws[finite], plain[finite])
+        assert np.isfinite(draws[np.isnan(plain)]).all()
+
+    def test_cluster_path_at_small_order(self):
+        # about 1330 children at beta = 0.01, a few of them with a lag past
+        # the double range: dropped as past the horizon, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ev = simulate_cluster(ModelParams(1.0, 0.5, 0.01, 1.0), 1000.0, 0)
+        assert 0 < ev.epochs.size < 2000 and np.isfinite(ev.epochs).all()
