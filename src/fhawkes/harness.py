@@ -104,12 +104,10 @@ class CountDistribution:
                 obs_m.append(acc_o)
                 exp_m.append(acc_e)
                 acc_o = acc_e = 0.0
-        if acc_e > 0 or acc_o > 0:
-            if obs_m:
-                obs_m[-1] += acc_o
-                exp_m[-1] += acc_e
-            else:
-                obs_m, exp_m = [acc_o], [acc_e]
+        # the leftover short of _MIN_EXPECTED joins the last cell
+        if obs_m:
+            obs_m[-1] += acc_o
+            exp_m[-1] += acc_e
         if len(obs_m) < 2:
             raise DomainError("chi-square needs at least two merged cells")
         obs_m = np.asarray(obs_m)

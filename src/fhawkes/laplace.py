@@ -212,43 +212,42 @@ def _gk_quad(fn, a, b):
     ------
     QuadratureError
         If an integrand is not finite on a node, or the panel count would
-        pass ``_LIMIT``.
+        pass ``_LIMIT``.  ``fn`` runs with overflow and invalid operations
+        ignored, so a value past the double range raises here, unwarned.
     """
-    lo = np.array([a], dtype=float)
-    hi = np.array([b], dtype=float)
-    new = np.array([0])
+    lo, hi = np.empty(_LIMIT), np.empty(_LIMIT)
+    lo[0], hi[0] = a, b
+    n, new = 1, np.array([0])
     vals = errs = None
     while True:
         half = 0.5 * (hi[new] - lo[new])
         nodes = (lo[new] + half)[:, None] + half[:, None] * _GK_NODES
-        y = np.asarray(fn(nodes.ravel()), dtype=float).reshape(-1, _GK_NODES.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.asarray(fn(nodes.ravel()), dtype=float).reshape(-1, _GK_NODES.size)
         if not np.isfinite(y).all():
             raise QuadratureError(f"integrand is not finite on [{a:g}, {b:g}]")
         if vals is None:
-            vals = np.empty((y.shape[0] // new.size, 1))
+            vals = np.empty((y.shape[0] // new.size, _LIMIT))
             errs = np.empty_like(vals)
         vals[:, new] = half * (y @ _GK_KRONROD).reshape(-1, new.size)
         errs[:, new] = np.abs(half * (y @ _GK_DIFF).reshape(-1, new.size))
-        value, error = vals.sum(axis=1), errs.sum(axis=1)
+        value, error = vals[:, :n].sum(axis=1), errs[:, :n].sum(axis=1)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
         if (error <= tol).all():
             return value, error
-        order = np.argsort((errs / tol[:, None]).max(axis=0))[::-1]
+        order = np.argsort((errs[:, :n] / tol[:, None]).max(axis=0))[::-1]
         rest = error[:, None] - np.cumsum(errs[:, order], axis=1)
         done = (rest <= 0.5 * tol[:, None]).all(axis=0)
         split = order[: int(np.argmax(done)) + 1]
-        if lo.size + split.size > _LIMIT:
+        if n + split.size > _LIMIT:
             raise QuadratureError(
                 f"quadrature on [{a:g}, {b:g}] needs more than {_LIMIT} panels"
             )
         mid = 0.5 * (lo[split] + hi[split])
-        new = np.concatenate([split, np.arange(lo.size, lo.size + split.size)])
-        lo = np.concatenate([lo, mid])
-        hi = np.concatenate([hi, hi[split]])
+        lo[n:n + split.size], hi[n:n + split.size] = mid, hi[split]
         hi[split] = mid
-        grow = np.empty((vals.shape[0], split.size))
-        vals = np.concatenate([vals, grow], axis=1)
-        errs = np.concatenate([errs, grow], axis=1)
+        new = np.concatenate([split, np.arange(n, n + split.size)])
+        n += split.size
 
 
 def forward_lt(
@@ -297,14 +296,10 @@ def forward_lt(
         raise DomainError("singular_exponent must lie in (0, 1]")
     col = sv.reshape(-1, 1)
 
-    # a substitution that leaves the double range shows as a non-finite
-    # integrand, which _gk_quad reports
-    @np.errstate(over="ignore", invalid="ignore")
     def head(u):
         t = u ** (1.0 / p)
         return f(t) * np.exp(-col * t) * t ** (1.0 - p) / p
 
-    @np.errstate(over="ignore", invalid="ignore")
     def tail(u):
         t = u ** (-1.0 / p)
         # exp(log) keeps t**(1+p) * exp(-s*t) finite where t**(1+p) overflows

@@ -32,8 +32,8 @@ batch width.
 All engines draw from counter-based generator streams keyed by
 ``(seed, engine, replica)``, so independent replicas are reproducible and
 insensitive to execution order.  Every engine raises BudgetError once a
-path passes ``DEFAULT_MAX_EVENTS`` events; a thinning path whose mean
-immigrant count makes that certain raises before drawing.
+path passes ``DEFAULT_MAX_EVENTS`` events, and before any stream is keyed
+when the mean immigrant count makes that certain.
 """
 
 from __future__ import annotations
@@ -75,9 +75,7 @@ _RATE_MAX = 40.0 / _LAG_MIN
 # Composite Gauss-Legendre rule in log-rate: panel width and nodes.
 _PANEL = 1.5
 _PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(6)
-_INT64_MAX = np.iinfo(np.int64).max
-_POISSON_MEAN_MAX = _INT64_MAX - 10.0 * math.sqrt(_INT64_MAX)
-# a thinning path raises up front when it passes DEFAULT_MAX_EVENTS with
+# every engine raises up front when it passes DEFAULT_MAX_EVENTS with
 # probability above 1 - _BUDGET_CERTAIN
 _BUDGET_CERTAIN = 1e-12
 # Replica-batched thinning: a batch narrower than _LOCKSTEP_MIN (K) draws in
@@ -172,16 +170,6 @@ def _stream(key) -> np.random.Generator:
 def _check_horizon(horizon: float) -> None:
     if not 0.0 < horizon < math.inf:
         raise DomainError(f"horizon must be positive and finite, got {horizon}")
-
-
-def _check_poisson_mean(mean: float) -> None:
-    """numpy's Poisson sampler cannot draw a mean above int64 max minus ten
-    of its square roots (about 9.2e18)."""
-    if not mean <= _POISSON_MEAN_MAX:
-        raise DomainError(
-            f"lambda0 * horizon = {mean:g} exceeds the largest Poisson mean "
-            f"{_POISSON_MEAN_MAX:.4g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -466,9 +454,9 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
         lam = lam0 + np.matmul(decay[:, None, :], state[:, :, None])[:, 0, 0]
         accept = uniforms[:, k] * (bound + level) <= lam
         k += 1
-        reject = ~accept
-        np.copyto(bound, lam, where=reject)
-        np.copyto(pos, cum[j] + level * (lag - lags[j]), where=reject)
+        # as in _thin; a row accepted past the horizon retires unread
+        bound = lam
+        pos = np.where(accept, 0.0, cum[j] + level * (lag - lags[j]))
         # a step below one ulp of t would repeat the last epoch
         np.maximum(t, np.nextafter(last, math.inf), out=t, where=accept)
         done = t > horizon
@@ -478,8 +466,6 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
             np.multiply(state, decay, out=state, where=mask)
             np.add(state, jumps, out=state, where=mask)
             np.copyto(last, t, where=accept)
-            np.copyto(bound, lam, where=accept)
-            np.copyto(pos, 0.0, where=accept)
             events += accept
             new = rows[accept]
             if fill + new.size > hit.size:
@@ -508,11 +494,12 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
 
 
 def _check_budget_reachable(mean: float) -> None:
-    """N(H) is stochastically at least Poisson(lambda0 * H).  Raise
-    BudgetError before any drawing when the Chernoff bound
-    ``exp(-mu) * (e * mu / k)**k`` on P(Poisson(mu) <= k), with
-    ``mu = lambda0 * H`` and ``k = DEFAULT_MAX_EVENTS``, is at most
-    ``_BUDGET_CERTAIN``: passing the budget is then certain up to that."""
+    """N(H) is stochastically at least Poisson(lambda0 * H), the immigrant
+    count of either construction.  Raise BudgetError before any drawing
+    when the Chernoff bound ``exp(-mu) * (e * mu / k)**k`` on
+    P(Poisson(mu) <= k), with ``mu = lambda0 * H`` and ``k =
+    DEFAULT_MAX_EVENTS``, is at most ``_BUDGET_CERTAIN``: passing the
+    budget is then certain up to that."""
     k = DEFAULT_MAX_EVENTS
     if mean > k and (
         mean == math.inf
@@ -528,24 +515,22 @@ def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
     """``(p, replicas, epochs)``: the model that draws the ``engine``'s paths
     (``beta`` 1 for ``exp_hawkes``), the replica indices as a list of ints
     and an iterator over each replica's epochs, drawn a lockstep block at a
-    time.  Every check runs once, before any stream is
-    keyed: the seed and replica indices, the horizon, then the cluster's
-    Poisson mean (``ModelParams`` holds ``alpha < 1``), or the thinning
-    event budget, the kernel's argument range and its certification.  The
-    streams' keys are hashed together, and each Generator is made when its
-    path is drawn."""
+    time.  Every check runs once, before any stream is keyed: the seed and
+    replica indices, the horizon, the engine, the event budget of every
+    engine (``ModelParams`` holds ``alpha < 1``), then for thinning the
+    kernel's argument range and its certification.  The streams' keys are
+    hashed together, and each Generator is made when its path is drawn."""
     seed = _index("seed", seed)
     replicas = [_index("replica", r) for r in replicas]
     _check_horizon(horizon)
+    if engine not in ENGINES:
+        raise DomainError(f"unknown engine {engine!r}")
+    _check_budget_reachable(p.lambda0 * horizon)
     if engine == "cluster":
-        _check_poisson_mean(p.lambda0 * horizon)
         keys = _stream_keys(seed, engine, replicas)
         return p, replicas, (_cluster(p, horizon, _stream(key)) for key in keys)
     if engine == "exp_hawkes":
         p = replace(p, beta=1.0)
-    elif engine != "thinning":
-        raise DomainError(f"unknown engine {engine!r}")
-    _check_budget_reachable(p.lambda0 * horizon)
     rates, weights = _exp_mixture(p.kernel(), horizon)
     jumps = p.alpha * weights
     envelope = _envelope(rates, jumps, horizon)
@@ -627,9 +612,9 @@ def simulate_cluster(
     kernel law.  Offspring beyond the horizon are discarded together with
     their descendants, which cannot precede them.  A child whose delay is
     below one ulp of its parent's epoch moves to the next float after the
-    epoch before it.  Raises DomainError if ``lambda0 * horizon`` exceeds
-    about 9.2e18, and BudgetError once the events pass
-    ``DEFAULT_MAX_EVENTS``.
+    epoch before it.  Raises BudgetError once the events pass
+    ``DEFAULT_MAX_EVENTS``, and before drawing when ``lambda0 * horizon``
+    makes that certain, as thinning does.
     """
     return sample_paths(p, horizon, seed, [replica], "cluster")[0]
 

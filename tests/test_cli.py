@@ -264,7 +264,7 @@ class TestSimulateCmd:
             "--out", str(tmp_path / "ev.csv"),
         )
         assert code == 2
-        assert "numerical failure" in err and "Poisson mean" in err
+        assert "numerical failure" in err and "passes 10000000 events" in err
 
     def test_kernel_argument_past_z_max_is_numerical_failure(self, monkeypatch, capsys,
                                                              tmp_path):

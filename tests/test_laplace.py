@@ -477,6 +477,14 @@ class TestForwardLt:
                           0.0, 1.0, epsabs=1e-16, epsrel=1e-13, limit=200)
             assert abs(values[j] - ref) <= max(_EPSABS, _EPSREL * abs(ref))
 
+    def test_overflowing_integrand_raises_unwarned(self):
+        # exp(1e3 / u) overflows near u = 0: the quadrature's own guard
+        # turns that into its error, with no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError, match="not finite"):
+                _gk_quad(lambda u: np.exp(1e3 / u), 0.0, 1.0)
+
     def test_nonfinite_integrand_raises_at_once_for_array_s(self):
         calls = []
 

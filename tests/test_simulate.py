@@ -536,6 +536,18 @@ class TestBudgetUpFront:
                 call()
             assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("engine", ["thinning", "exp_hawkes", "cluster"])
+    @pytest.mark.parametrize("lambda0,horizon", [(2e7, 1.0), (1e10, 1e9), (1e300, 1e300)])
+    def test_every_engine_raises_before_keying(self, engine, lambda0, horizon, monkeypatch):
+        # 2e7 and 1e19 expected immigrants, and a mean that overflows to inf,
+        # against a budget of 1e7 events: one rule, before any stream is keyed
+        def no_keys(*args):
+            raise AssertionError("a stream was keyed")
+
+        monkeypatch.setattr(simulate, "_stream_keys", no_keys)
+        with pytest.raises(BudgetError, match="passes 10000000 events"):
+            sample_paths(ModelParams(lambda0, 0.1, 0.5, 1.0), horizon, 1, [0], engine)
+
     def test_threshold(self, monkeypatch):
         # for 100 events the Chernoff bound reaches 1e-12 at a mean of
         # about 194: above it nothing is drawn, below it the path is drawn
@@ -651,9 +663,11 @@ class TestKernelRange:
             # t = u**(-1/p) overflows in the forward transform's tail
             (lambda: forward_lt(lambda t: np.exp(-t), 1.0, singular_exponent=1e-12),
              QuadratureError, "not finite"),
-            # the kernel density is negative at a certification lag
+            # the kernel density came out negative at a certification lag,
+            # from a spectral head series that had not converged, which now
+            # raises first
             (lambda: count_matrix(ModelParams(1.0, 0.5, 1e-12, 1.0), [1.0, 2.0], 3, 1),
-             AccuracyError, "relative error inf"),
+             AccuracyError, "spectral regime"),
         ],
         ids=["pole", "sampler-scale", "forward-transform", "negative-reference"],
     )
@@ -761,8 +775,9 @@ class TestFiniteInputs:
                 sample_paths(P_WEAK, 1.0, seed, [0, replica], engine)
 
     def test_poisson_mean_past_numpy_range(self):
-        # numpy's Poisson sampler rejects means above about 9.2e18
-        with pytest.raises(DomainError, match="Poisson mean"):
+        # a mean past numpy's Poisson range (about 9.2e18) passes the event
+        # budget for certain, which raises first
+        with pytest.raises(BudgetError, match="passes 10000000 events"):
             simulate_cluster(ModelParams(1e10, 0.1, 0.5, 1.0), 1e10, 1)
 
     def test_cluster_budget_checked_before_immigrants_drawn(self):

@@ -118,22 +118,35 @@ class TestPrabhakar:
             with pytest.raises(AccuracyError, match=r"\((-1|-45|-100)\.0\) is past"):
                 fn(*args)
 
-    @pytest.mark.xfail(raises=AssertionError, strict=True,
+    @pytest.mark.xfail(raises=AccuracyError, strict=True,
                        reason="the spectral head series fails at small order")
     def test_small_order(self):
         # known fault: _spectral's 48-term head series converges like
-        # ((1/64)**a / x)**m, a ratio that tends to 1/x as a -> 0.  The
-        # references are E_a(-x) = sin(a*pi)/(a*pi) * int_0^inf
-        # exp(-w**(1/a)) * x / (w**2 + 2*x*w*cos(a*pi) + x**2) dw at 30
-        # digits, E_{a,a}(-x) = -a * d/dx E_a(-x), and E_a(-1) -> 1/2 as
-        # a -> 0; the same formula matches the library to 1e-14 at (a, x) =
-        # (0.3, 1.1), (0.5, 3) and (0.9, 1.05)
+        # ((1/64)**a / x)**m, a ratio that tends to 1/x as a -> 0, and
+        # raises AccuracyError where it has not converged.  The references
+        # are E_a(-x) = sin(a*pi)/(a*pi) * int_0^inf exp(-w**(1/a)) * x /
+        # (w**2 + 2*x*w*cos(a*pi) + x**2) dw at 30 digits, E_{a,a}(-x) =
+        # -a * d/dx E_a(-x), and E_a(-1) -> 1/2 as a -> 0; the same formula
+        # matches the library to 1e-14 at (a, x) = (0.3, 1.1), (0.5, 3) and
+        # (0.9, 1.05)
         cases = [((0.001, 1.0, 1.0, -1.0), 0.4998556960785243),
                  ((0.05, 1.0, 1.0, -1.1), 0.46897149368359997),
                  ((0.05, 0.05, 1.0, -1.05), 0.011899051119729366),  # kernel shape
                  ((1e-300, 1.0, 1.0, -1.0), 0.5)]
         got = [prabhakar(*args) for args, _ in cases]
         assert got == pytest.approx([ref for _, ref in cases], rel=1e-10)
+
+    @pytest.mark.parametrize("args", [(0.001, 1.0, 1.0, -1.0), (0.05, 1.0, 1.0, -1.1),
+                                      (0.05, 0.05, 1.0, -1.05), (1e-300, 1.0, 1.0, -1.0),
+                                      (1 / 48, 1.0, 1.0, -1.1)])
+    def test_small_order_head_series_raises(self, args):
+        # test_small_order's inputs: the 48-term head series of the spectral
+        # rule has not converged there, which raises rather than return a
+        # wrong value.  At a = 1/48 the last term vanishes with sin(48*psi),
+        # yet the value was 1.7e-6 off
+        a, b, _, z = args
+        with pytest.raises(AccuracyError, match=rf"spectral regime: E_\{{{a},{b}\}}\({z}\)"):
+            prabhakar(*args)
 
     def test_vectorized_matches_scalar(self):
         z = np.array([-0.5, -8.0, -300.0, 0.0, 1.5])
