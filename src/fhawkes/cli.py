@@ -10,6 +10,7 @@ failure included), 3 validation criteria failed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import pathlib
@@ -33,18 +34,28 @@ from .validation import run_validation
 
 _MODEL_FLAGS = ("lambda0", "alpha", "beta", "gamma")
 _COUNT = click.IntRange(min=1)
+_OUT = click.option("--out", type=click.Path(dir_okay=False), required=True)
+_SEED = click.option("--seed", type=int, default=0, show_default=True)
 
 
 def _model_options(fn):
+    """Give the command ``fn(p, **options)`` ``--config`` and the model
+    flags, ahead of its own options, and call it with the ``ModelParams``
+    that :func:`_resolve_params` makes of them."""
+
+    @functools.wraps(fn)
+    def command(config, **options):
+        flags = {key: options.pop(key) for key in _MODEL_FLAGS}
+        return fn(_resolve_params(config, **flags), **options)
+
     for flag in reversed(_MODEL_FLAGS):
-        fn = click.option(f"--{flag}", type=float, default=None)(fn)
-    fn = click.option(
+        command = click.option(f"--{flag}", type=float, default=None)(command)
+    return click.option(
         "--config",
         type=click.Path(exists=True, dir_okay=False),
         default=None,
         help="JSON file mirroring the flags; explicit flags override it.",
-    )(fn)
-    return fn
+    )(command)
 
 
 def _resolve_params(config, **flags) -> ModelParams:
@@ -110,10 +121,9 @@ def cli():
     default="exact",
     show_default=True,
 )
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def lambda_cmd(config, lambda0, alpha, beta, gamma, t_max, grid, method, out):
+@_OUT
+def lambda_cmd(p, t_max, grid, method, out):
     """Expected intensity curve on a uniform grid."""
-    p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
     t = _grid(t_max, grid)
     table = {"t": t}
     if method in ("exact", "both"):
@@ -138,13 +148,10 @@ def lambda_cmd(config, lambda0, alpha, beta, gamma, t_max, grid, method, out):
     show_default=True,
 )
 @click.option("--replicas", type=_COUNT, default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def expected_n_cmd(
-    config, lambda0, alpha, beta, gamma, t_max, grid, method, replicas, seed, out
-):
+@_SEED
+@_OUT
+def expected_n_cmd(p, t_max, grid, method, replicas, seed, out):
     """Expected event count: closed form, numerical inversion, Monte Carlo."""
-    p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
     times = _grid(t_max, grid)
     table = {"t": times}
     if method in ("mc", "all"):
@@ -170,19 +177,16 @@ def expected_n_cmd(
 @_model_options
 @click.option("--horizon", type=float, default=10.0, show_default=True)
 @click.option("--replicas", type=_COUNT, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_SEED
 @click.option(
     "--engine",
     type=click.Choice(["thinning", "cluster"]),
     default="thinning",
     show_default=True,
 )
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def simulate_cmd(
-    config, lambda0, alpha, beta, gamma, horizon, replicas, seed, engine, out
-):
+@_OUT
+def simulate_cmd(p, horizon, replicas, seed, engine, out):
     """Draw sample paths and write (replica, k, T_k) rows."""
-    p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
     seqs = sample_paths(p, horizon, seed, range(replicas), engine)
     write_events_csv(out, seqs)
     total = sum(len(s) for s in seqs)
@@ -194,17 +198,16 @@ def simulate_cmd(
 @click.option("--t", "times", type=str, required=True,
               help="Comma-separated observation times.")
 @click.option("--replicas", type=_COUNT, default=10_000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@_SEED
 @click.option(
     "--compare",
     type=click.Choice(["poisson", "exp-hawkes", "none"]),
     default="none",
     show_default=True,
 )
-@click.option("--out", type=click.Path(dir_okay=False), required=True)
-def dist_cmd(config, lambda0, alpha, beta, gamma, times, replicas, seed, compare, out):
+@_OUT
+def dist_cmd(p, times, replicas, seed, compare, out):
     """Empirical distribution of the event count at fixed times."""
-    p = _resolve_params(config, lambda0=lambda0, alpha=alpha, beta=beta, gamma=gamma)
     try:
         ts = tuple(sorted(float(x) for x in times.split(",")))
     except ValueError as exc:

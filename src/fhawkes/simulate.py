@@ -49,7 +49,8 @@ import numpy as np
 from .analytics import ModelParams
 from .errors import AccuracyError, BudgetError, DomainError
 from .special import (
-    _LOG_MAX, Z_MAX, MLKernelParams, ml_density, ml_one, ml_sample, ml_spectral,
+    _LOG_MAX, Z_MAX, MLKernelParams, _check_scale, ml_density, ml_one, ml_sample,
+    ml_spectral,
 )
 
 __all__ = [
@@ -212,10 +213,7 @@ def intensity(t: float, history, p: ModelParams) -> float:
     epochs = np.asarray(getattr(history, "epochs", history), dtype=float)
     if not ((epochs >= 0.0) & (epochs < math.inf)).all():
         raise DomainError("intensity requires finite epochs >= 0")
-    past = epochs[epochs < t]
-    if past.size == 0:
-        return p.lambda0
-    dens = ml_density(t - past, p.kernel())
+    dens = ml_density(t - epochs[epochs < t], p.kernel())
     return p.lambda0 + p.alpha * float(np.sum(dens))
 
 
@@ -313,15 +311,21 @@ def _envelope(rates, jumps, horizon: float):
     return lags, levels, cum
 
 
+def _draw_block(rng: np.random.Generator):
+    """The draws of 64 proposals from ``rng``: a (64 x 2) array of standard
+    exponentials, then 64 uniforms.  Both thinning loops read their draws
+    in these blocks, so each path is the same whatever the batch width."""
+    return rng.standard_exponential((64, 2)), rng.random(64)
+
+
 def _proposal_draws(rng: np.random.Generator):
     """Endless proposal draws ``(step, env_step, u)``: a standard
     exponential to the next point of the constant part of the dominating
     rate, one to the next point of the envelope part, and the acceptance
-    uniform, 64 at a time from ``rng``: a (64 x 2) array of standard
-    exponentials, then 64 uniforms, each iterated as lists."""
+    uniform, a :func:`_draw_block` at a time, each iterated as lists."""
     while True:
-        steps = rng.standard_exponential((64, 2))
-        yield from zip(steps[:, 0].tolist(), steps[:, 1].tolist(), rng.random(64).tolist())
+        steps, uniforms = _draw_block(rng)
+        yield from zip(steps[:, 0].tolist(), steps[:, 1].tolist(), uniforms.tolist())
 
 
 def _thin(lam0, rates, jumps, envelope, horizon, draws) -> np.ndarray:
@@ -410,8 +414,10 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     (the same BLAS ``ddot`` as ``_thin``'s), one accept mask, and state
     updates on the accepted rows, with the same float operations as
     ``_thin``.  Every active path takes one proposal per step, so all of
-    them refill their 64-proposal blocks together.  Each event goes into one
-    flat buffer of (stream, epoch) pairs that doubles when full."""
+    them refill their blocks of draws (:func:`_draw_block`) together.  Each
+    event goes into one flat buffer of (stream, epoch) pairs that doubles when full, and
+    adds one to its stream's count, which the event budget reads and which
+    splits the buffer, sorted by stream, into paths."""
     if len(rngs) < _LOCKSTEP_MIN:
         return [_thin(lam0, rates, jumps, envelope, horizon, _proposal_draws(rng))
                 for rng in rngs]
@@ -420,7 +426,7 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     rows = np.arange(len(rngs))
     t, last, pos = np.zeros(rows.size), np.zeros(rows.size), np.zeros(rows.size)
     bound = np.full(rows.size, lam0)
-    events = np.zeros(rows.size, dtype=np.int64)
+    counts = np.zeros(rows.size, dtype=np.int64)
     state = np.zeros((rows.size, rates.size))
     steps = uniforms = np.empty((rows.size, 0))
     # (paths x Q) work arrays, used through their leading rows
@@ -435,8 +441,7 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
     arg, decay, live = arg_buf, decay_buf, live_buf
     while rows.size:
         if k == uniforms.shape[1]:
-            steps = np.array([rngs[r].standard_exponential((64, 2)) for r in rows])
-            uniforms = np.array([rngs[r].random(64) for r in rows])
+            steps, uniforms = map(np.array, zip(*(_draw_block(rngs[r]) for r in rows)))
             k = 0
         target = pos + steps[:, k, 1]
         i = cum.searchsorted(target, side="right") - 1
@@ -466,8 +471,8 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
             np.multiply(state, decay, out=state, where=mask)
             np.add(state, jumps, out=state, where=mask)
             np.copyto(last, t, where=accept)
-            events += accept
             new = rows[accept]
+            counts[new] += 1
             if fill + new.size > hit.size:
                 hit, when = (np.concatenate([a[:fill], np.empty_like(a)]) for a in (hit, when))
             hit[fill:fill + new.size] = new
@@ -475,22 +480,20 @@ def _thin_lockstep(lam0, rates, jumps, envelope, horizon, rngs) -> list:
             fill += new.size
             # no path passes the budget before its block does
             if fill > DEFAULT_MAX_EVENTS:
-                over = np.flatnonzero(events > DEFAULT_MAX_EVENTS)
+                over = np.flatnonzero(counts[rows] > DEFAULT_MAX_EVENTS)
                 if over.size:
                     raise BudgetError(
                         f"thinning exceeded {DEFAULT_MAX_EVENTS} events by t={t[over[0]]:g}"
                     )
         if done.any():
             keep = ~done
-            rows, t, last, bound, pos, events, state, steps, uniforms = (
-                a[keep] for a in (rows, t, last, bound, pos, events, state, steps, uniforms)
+            rows, t, last, bound, pos, state, steps, uniforms = (
+                a[keep] for a in (rows, t, last, bound, pos, state, steps, uniforms)
             )
             n = rows.size
             arg, decay, live = arg_buf[:n], decay_buf[:n], live_buf[:n]
-    hit = hit[:fill]
-    when = when[np.argsort(hit, kind="stable")]
-    ends = np.cumsum(np.bincount(hit, minlength=len(rngs))).tolist()
-    return [when[a:b] for a, b in zip([0] + ends, ends)]
+    when = when[np.argsort(hit[:fill], kind="stable")]
+    return np.split(when, np.cumsum(counts)[:-1])
 
 
 def _check_budget_reachable(mean: float) -> None:
@@ -518,7 +521,8 @@ def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
     time.  Every check runs once, before any stream is keyed: the seed and
     replica indices, the horizon, the engine, the event budget of every
     engine (``ModelParams`` holds ``alpha < 1``), then for thinning the
-    kernel's argument range and its certification.  The streams' keys are
+    kernel's argument range and its certification, for the cluster engine
+    its sampler's time scale at every ``alpha``.  The streams' keys are
     hashed together, and each Generator is made when its path is drawn."""
     seed = _index("seed", seed)
     replicas = [_index("replica", r) for r in replicas]
@@ -527,21 +531,23 @@ def _paths(engine: str, p: ModelParams, horizon: float, seed: int, replicas):
         raise DomainError(f"unknown engine {engine!r}")
     _check_budget_reachable(p.lambda0 * horizon)
     if engine == "cluster":
-        keys = _stream_keys(seed, engine, replicas)
-        return p, replicas, (_cluster(p, horizon, _stream(key)) for key in keys)
-    if engine == "exp_hawkes":
-        p = replace(p, beta=1.0)
-    rates, weights = _exp_mixture(p.kernel(), horizon)
-    jumps = p.alpha * weights
-    envelope = _envelope(rates, jumps, horizon)
-    keys = _stream_keys(seed, engine, replicas)
+        _check_scale(p.kernel())
 
-    def blocks():
-        for lo in range(0, len(keys), _LOCKSTEP_BLOCK):
-            rngs = [_stream(key) for key in keys[lo:lo + _LOCKSTEP_BLOCK]]
-            yield from _thin_lockstep(p.lambda0, rates, jumps, envelope, horizon, rngs)
+        def draw(keys):
+            return (_cluster(p, horizon, _stream(key)) for key in keys)
+    else:
+        if engine == "exp_hawkes":
+            p = replace(p, beta=1.0)
+        rates, weights = _exp_mixture(p.kernel(), horizon)
+        jumps = p.alpha * weights
+        envelope = _envelope(rates, jumps, horizon)
 
-    return p, replicas, blocks()
+        def draw(keys):
+            for lo in range(0, len(keys), _LOCKSTEP_BLOCK):
+                rngs = [_stream(key) for key in keys[lo:lo + _LOCKSTEP_BLOCK]]
+                yield from _thin_lockstep(p.lambda0, rates, jumps, envelope, horizon, rngs)
+
+    return p, replicas, draw(_stream_keys(seed, engine, replicas))
 
 
 def sample_paths(
@@ -614,7 +620,9 @@ def simulate_cluster(
     below one ulp of its parent's epoch moves to the next float after the
     epoch before it.  Raises BudgetError once the events pass
     ``DEFAULT_MAX_EVENTS``, and before drawing when ``lambda0 * horizon``
-    makes that certain, as thinning does.
+    makes that certain, as thinning does; AccuracyError before drawing, at
+    every ``alpha``, if the sampler's time scale ``gamma**(-1/beta)`` is
+    past the double range.
     """
     return sample_paths(p, horizon, seed, [replica], "cluster")[0]
 

@@ -17,13 +17,13 @@ Evaluation of ``E_{a,b}^c(z)`` on the real axis uses three regimes:
   other shape, accepted only while its conditioning estimate stays small.
 
 Every argument the series rejects or does not reach goes through the
-large-argument regimes in one pass per call, together with each argument
-the series accepts on the band where the regimes overlap, which that pass
-cross-checks.  The pass evaluates a fixed block of arguments at a time, so
-its working memory does not grow with the number of arguments.  A contour evaluation anywhere in that pass whose
-conditioning exceeds its budget raises
-:class:`~fhawkes.errors.AccuracyError`, and so, after it, does a band
-disagreement.
+shape's large-argument regime in one pass per call, together with each
+argument the series accepts on the band where the regimes overlap, which
+that pass cross-checks.  The pass evaluates a fixed block of arguments at a
+time, so its working memory does not grow with the number of arguments.  A
+contour evaluation anywhere in that pass whose conditioning exceeds its
+budget raises :class:`~fhawkes.errors.AccuracyError`, and so, after it,
+does a band disagreement.
 """
 
 from __future__ import annotations
@@ -377,10 +377,12 @@ def _eval_batch(a, b, c, z):
     series for every nonzero ``z >= -40``, then one large-argument pass over
     every argument the series rejects or does not reach and each band
     argument it accepts, where the pass cross-checks the series.  The pass
-    evaluates ``_LARGE_BLOCK`` arguments of one regime at a time, and each
-    value is the same as in any other block.  A contour conditioning error
-    in the pass comes before a band disagreement, and its z-range spans the
-    contour's band and large arguments together."""
+    runs one regime, chosen from the shape: :func:`_spectral` for ``c = 1``
+    with ``b`` in ``{1, a}``, :func:`_contour_sum` for every other shape.
+    It evaluates ``_LARGE_BLOCK`` arguments at a time, and each value is
+    the same as in any other block.  A contour conditioning error in the
+    pass comes before a band disagreement, and its z-range spans the band
+    and large arguments together."""
     out = np.full_like(z, rgamma(b))  # the value at z = 0
     series = z >= -40.0
     cand = (series & (z != 0.0)).nonzero()[0]
@@ -403,21 +405,17 @@ def _eval_batch(a, b, c, z):
         return out
     zl = z[rows]
     alt, cond = np.empty_like(zl), np.zeros_like(zl)
-    contour = np.ones(zl.shape, dtype=bool)
-    if c == 1.0 and b in (1.0, a):
-        contour = zl > -0.6
-    for sel in (np.flatnonzero(~contour), np.flatnonzero(contour)):
-        for lo in range(0, sel.size, _LARGE_BLOCK):
-            i = sel[lo : lo + _LARGE_BLOCK]
-            if contour[i[0]]:
-                alt[i], cond[i] = _contour_sum(a, b, c, zl[i])
-            else:
-                alt[i] = _spectral(a, -zl[i], 0.0 if b == 1.0 else 1.0)
+    spectral = c == 1.0 and b in (1.0, a)
+    for lo in range(0, zl.size, _LARGE_BLOCK):
+        i = slice(lo, lo + _LARGE_BLOCK)
+        if spectral:
+            alt[i] = _spectral(a, -zl[i], 0.0 if b == 1.0 else 1.0)
+        else:
+            alt[i], cond[i] = _contour_sum(a, b, c, zl[i])
     if np.any(cond > 1e-9):
         raise AccuracyError(
             f"contour regime conditioning {float(np.max(cond)):.2e} exceeds "
-            f"budget for E_{{{a},{b}}}^{c} at z in "
-            f"[{zl[contour].min()}, {zl[contour].max()}]"
+            f"budget for E_{{{a},{b}}}^{c} at z in [{zl.min()}, {zl.max()}]"
         )
     check = band[rows]
     zb, val, ref = zl[check], out[rows][check], alt[check]
@@ -520,8 +518,10 @@ def ml_density(t, k: MLKernelParams):
     Raises
     ------
     DomainError
-        If any ``t`` is not > 0 (NaN included), or ``gamma*t**beta`` is
-        past ``Z_MAX``.
+        If any ``t`` is not > 0 (NaN included), or, for ``beta < 1``,
+        ``gamma*t**beta`` is past ``Z_MAX``.  At ``beta = 1`` the density
+        is ``gamma*exp(-gamma*t)`` at every ``t``, a correct finite value
+        past ``Z_MAX`` too (0.0 at ``t = 2e8``, ``gamma = 1``).
     AccuracyError
         If ``gamma*t**(beta-1)`` is past the double range (subnormal
         ``t``).
@@ -568,6 +568,16 @@ def ml_spectral(theta, beta):
     return float(res) if np.asarray(theta).ndim == 0 else res
 
 
+def _check_scale(k: MLKernelParams) -> None:
+    """AccuracyError if :func:`ml_sample`'s scale ``gamma**(-1/beta)`` is
+    past the double range, checked in logs, before it is formed."""
+    if not -math.log(k.gamma) / k.beta < _LOG_MAX:
+        raise AccuracyError(
+            f"the time scale gamma**(-1/beta) is past the double range: "
+            f"beta={k.beta}, gamma={k.gamma}"
+        )
+
+
 def ml_sample(rng, k: MLKernelParams, size=None):
     """Exact Mittag-Leffler variates with survival ``E_beta(-gamma*t**beta)``.
 
@@ -590,11 +600,7 @@ def ml_sample(rng, k: MLKernelParams, size=None):
     """
     if size is not None and not (np.asarray(size) >= 0).all():
         raise DomainError(f"size must be nonnegative, got {size}")
-    if not -math.log(k.gamma) / k.beta < _LOG_MAX:
-        raise AccuracyError(
-            f"the time scale gamma**(-1/beta) is past the double range: "
-            f"beta={k.beta}, gamma={k.gamma}"
-        )
+    _check_scale(k)
     u = rng.uniform(np.nextafter(0.0, 1.0), 1.0, size)
     x = rng.standard_exponential(size)
     A = math.pi * k.beta

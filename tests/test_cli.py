@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -466,3 +467,69 @@ class TestValidateCmd:
         assert res.exit_code == 3
         assert "[FAIL] x:" in res.output
         assert res.output.rstrip().endswith("; failed: at_zero, exponential")
+
+
+def _param_type(t):
+    """A click parameter type as a short, click-version-independent name."""
+    if isinstance(t, click.Choice):
+        return "choice:" + "|".join(t.choices)
+    if isinstance(t, click.IntRange):
+        return f"integer>={t.min}"
+    if isinstance(t, click.Path):
+        return ("existing " if t.exists else "") + ("path" if t.dir_okay else "file")
+    return t.name
+
+
+_MODEL_SURFACE = [
+    ("config", "existing file", None, False),
+    ("lambda0", "float", None, False),
+    ("alpha", "float", None, False),
+    ("beta", "float", None, False),
+    ("gamma", "float", None, False),
+]
+_OUT = ("out", "file", None, True)
+
+
+def test_cli_surface_is_pinned():
+    # every parameter of every subcommand, in order, as (name, type, default,
+    # required); a required option has no default to pin
+    surface = {
+        name: [(p.name, _param_type(p.type), None if p.required else p.default, p.required)
+               for p in cmd.params]
+        for name, cmd in cli.commands.items()
+    }
+    assert surface == {
+        "lambda": _MODEL_SURFACE + [
+            ("t_max", "float", 50.0, False),
+            ("grid", "integer>=1", 500, False),
+            ("method", "choice:exact|ilt|both", "exact", False),
+            _OUT,
+        ],
+        "expected-n": _MODEL_SURFACE + [
+            ("t_max", "float", 10.0, False),
+            ("grid", "integer>=1", 10, False),
+            ("method", "choice:exact|ilt|mc|all", "exact", False),
+            ("replicas", "integer>=1", 10_000, False),
+            ("seed", "integer", 0, False),
+            _OUT,
+        ],
+        "simulate": _MODEL_SURFACE + [
+            ("horizon", "float", 10.0, False),
+            ("replicas", "integer>=1", 1, False),
+            ("seed", "integer", 0, False),
+            ("engine", "choice:thinning|cluster", "thinning", False),
+            _OUT,
+        ],
+        "dist": _MODEL_SURFACE + [
+            ("times", "text", None, True),
+            ("replicas", "integer>=1", 10_000, False),
+            ("seed", "integer", 0, False),
+            ("compare", "choice:poisson|exp-hawkes|none", "none", False),
+            _OUT,
+        ],
+        "validate": [
+            ("smoke", "boolean", False, False),
+            ("seed", "integer", 20240801, False),
+            ("out", "file", None, False),
+        ],
+    }

@@ -582,6 +582,21 @@ class TestKernelMixture:
         with pytest.raises(AccuracyError):
             _exp_mixture(MLKernelParams(0.5, 1.0), 10.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_positive_reference_density_is_relative_error_inf(self, monkeypatch):
+        # no known kernel reaches this guard: a reference density of 0.0 at
+        # one certification lag stands in, and certifies nothing, quietly
+        density = simulate.ml_density
+
+        def zero_at_one_lag(t, k):
+            res = density(t, k)
+            res[simulate._CERT_LAGS // 2] = 0.0
+            return res
+
+        monkeypatch.setattr(simulate, "ml_density", zero_at_one_lag)
+        with pytest.raises(AccuracyError, match="relative error inf"):
+            _exp_mixture(MLKernelParams(0.5, 1.0), 10.0)
+
     def test_beta_one_is_the_exponential_kernel(self):
         rates, weights = _exp_mixture(MLKernelParams(1.0, 2.5), 10.0)
         assert rates.tolist() == [2.5] and weights.tolist() == [2.5]
@@ -674,6 +689,17 @@ class TestKernelRange:
     def test_corner_raises_its_error(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.0])
+    def test_cluster_scale_raises_before_keying(self, alpha, monkeypatch):
+        # gamma**(-1/beta) = 1e500 is past the double range for every
+        # replica, whether or not it draws a child, and at alpha = 0 too
+        def no_keys(*args):
+            raise AssertionError("a stream was keyed")
+
+        monkeypatch.setattr(simulate, "_stream_keys", no_keys)
+        with pytest.raises(AccuracyError, match=r"gamma\*\*\(-1/beta\)"):
+            count_matrix(ModelParams(1.0, alpha, 0.01, 1e-5), [3.0], 6, 0, "cluster")
 
     @pytest.mark.parametrize("replicas", [3, 20])
     def test_lockstep_proposal_past_the_horizon_is_quiet(self, replicas):
